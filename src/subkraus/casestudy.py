@@ -82,10 +82,12 @@ class DampingRates:
     gamma2: float
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError(
-                f"damping rates must be nonnegative, got {self.gamma1}, {self.gamma2}"
-            )
+        for name in ("gamma1", "gamma2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"damping rate {name} must be finite and nonnegative, got {value}"
+                )
 
     def tau(self, t: float) -> float:
         """Dimensionless time (gamma1 + gamma2) * t."""
@@ -194,6 +196,11 @@ def _diagonal_sector(x1: float, x2: float, eps: float, t: float, rates: DampingR
     return k7, k8
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time t must be finite and nonnegative, got {t}")
+
+
 def composite_kraus(t: float, rates: DampingRates) -> KrausMap:
     """The eight interaction-picture Kraus operators of the qubit pair.
 
@@ -201,8 +208,7 @@ def composite_kraus(t: float, rates: DampingRates) -> KrausMap:
     vanish and the eighth is -I, the identity channel; with both rates zero
     the map is frozen there for all times. All operators are Hermitian.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     x1 = math.exp(-16.0 * rates.gamma1 * t)
     x2 = math.exp(-16.0 * rates.gamma2 * t)
     eps = math.exp(-8.0 * (rates.gamma1 + rates.gamma2) * t)
@@ -240,8 +246,7 @@ def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float
     2 identically, which is the trace-preservation condition of the reduced
     Pauli channel.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"population parameter must lie in [0, 1], got {a}")
     x1 = math.exp(-16.0 * rates.gamma1 * t)

@@ -16,6 +16,7 @@ trips are byte identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -26,7 +27,6 @@ from .linalg import (
     STRUCTURAL_TOL,
     as_complex_matrix,
     dagger,
-    hermitian_eig,
     hermiticity_defect,
     max_abs,
 )
@@ -45,13 +45,13 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, "density matrix").copy()
         defect = hermiticity_defect(m)
-        if defect > STRUCTURAL_TOL:
+        if not defect <= STRUCTURAL_TOL:
             raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > STRUCTURAL_TOL:
+        if not abs(tr - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
-        w = hermitian_eig(m).eigenvalues
-        if w[0] < -STRUCTURAL_TOL:
+        w = np.linalg.eigvalsh(m)
+        if not w[0] >= -STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -104,7 +104,7 @@ class KrausMap:
         object.__setattr__(self, "operators", tuple(ops))
         if self.trace_preserving:
             defect = completeness_defect(self)
-            if defect > MODEL_TOL:
+            if not defect <= MODEL_TOL:
                 raise ValueError(
                     f"operators violate the completeness condition "
                     f"(defect {defect:.3e} > {MODEL_TOL:.1e}); "
@@ -163,22 +163,28 @@ class ChoiMatrix:
                 f"{self.dim * self.dim}x{self.dim * self.dim}, got {m.shape[0]}"
             )
         defect = hermiticity_defect(m)
-        if defect > STRUCTURAL_TOL:
+        if not defect <= STRUCTURAL_TOL:
             raise ValueError(f"Choi matrix is not Hermitian (defect {defect:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
+def choi_of_any(kmap: KrausMap) -> np.ndarray:
+    """Choi matrix entries without the trace-preservation sanity check.
+
+    With ``V[k]`` the column-major vectorization of ``K_k``, the Choi matrix
+    is ``sum_k V[k] V[k]^dagger = V^T conj(V)``.
+    """
+    v = np.stack([op.ravel(order="F") for op in kmap.operators])
+    return v.T @ v.conj()
+
+
 def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
     d = kmap.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for op in kmap.operators:
-        v = op.flatten(order="F")
-        m += np.outer(v, v.conj())
-    choi = ChoiMatrix(m, d)
+    choi = ChoiMatrix(choi_of_any(kmap), d)
     if kmap.trace_preserving:
-        tr = float(np.trace(m).real)
-        if abs(tr - d) > _CHOI_TRACE_TOL:
+        tr = float(np.trace(choi.matrix).real)
+        if not abs(tr - d) <= _CHOI_TRACE_TOL:
             raise ValueError(
                 f"Choi trace of a trace-preserving map must be {d}, got {tr}"
             )
@@ -192,8 +198,7 @@ class CpVerdict(NamedTuple):
 
 def cp_verdict(choi: ChoiMatrix, tol: float = CP_EIG_TOL) -> CpVerdict:
     """Complete positivity holds iff the Choi matrix is positive semidefinite."""
-    w = hermitian_eig(choi.matrix).eigenvalues
-    lo = float(w[0])
+    lo = float(np.linalg.eigvalsh(choi.matrix)[0])
     return CpVerdict(lo >= -tol, lo)
 
 
@@ -209,29 +214,21 @@ def channel_distance(a: KrausMap, b: KrausMap) -> float:
     return float(np.sqrt((np.abs(diff) ** 2).sum()))
 
 
-def choi_of_any(kmap: KrausMap) -> np.ndarray:
-    """Choi matrix entries without the trace-preservation sanity check."""
-    d = kmap.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for op in kmap.operators:
-        v = op.flatten(order="F")
-        m += np.outer(v, v.conj())
-    return m
-
-
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
-def _fmt17(x: float) -> str:
+def fmt17(x: float) -> str:
+    """A float at 17 significant digits, the precision of every wire format."""
     return format(float(x), ".17g")
 
 
 def _entry(z: complex) -> str:
-    return f"[{_fmt17(z.real)},{_fmt17(z.imag)}]"
+    return f"[{fmt17(z.real)},{fmt17(z.imag)}]"
 
 
-def _matrix_json(m: np.ndarray) -> str:
+def matrix_json(m: np.ndarray) -> str:
+    """A matrix as JSON rows of ``[re, im]`` pairs."""
     rows = []
     for row in m:
         rows.append("[" + ",".join(_entry(z) for z in row) + "]")
@@ -247,9 +244,16 @@ def dump_map_json(kmap: KrausMap, label: Optional[str] = None) -> str:
     parts = [f'"dim":{kmap.dim}']
     if label is not None:
         parts.append(f'"label":{json.dumps(label)}')
-    ops = ",".join(_matrix_json(op) for op in kmap.operators)
+    ops = ",".join(matrix_json(op) for op in kmap.operators)
     parts.append(f'"kraus":[{ops}]')
     return "{" + ",".join(parts) + "}\n"
+
+
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        return False
 
 
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
@@ -263,9 +267,12 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                # type(), not isinstance(): JSON true/false load as bool, an int subclass
+                or not all(type(x) in (int, float) for x in entry)
             ):
                 raise ValueError(f"{where}[{r}][{c}]: expected a [re, im] pair")
+            if not all(_is_finite(x) for x in entry):
+                raise ValueError(f"{where}[{r}][{c}]: entries must be finite, got {entry}")
             out[r, c] = complex(entry[0], entry[1])
     return out
 
@@ -280,7 +287,7 @@ def load_map_json(text: str) -> KrausMap:
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("dim: expected a positive integer")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
@@ -296,7 +303,7 @@ def load_map_json(text: str) -> KrausMap:
 
 def dump_density_json(rho: DensityMatrix) -> str:
     """Schema: ``{"dim": d, "rho": [[[re,im], ...], ...]}``."""
-    return f'{{"dim":{rho.dim},"rho":{_matrix_json(rho.matrix)}}}\n'
+    return f'{{"dim":{rho.dim},"rho":{matrix_json(rho.matrix)}}}\n'
 
 
 def load_density_json(text: str) -> DensityMatrix:
@@ -307,7 +314,7 @@ def load_density_json(text: str) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("dim: expected a positive integer")
     if "rho" not in doc:
         raise ValueError("rho: missing")

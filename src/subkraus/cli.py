@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import casestudy, channels, reduction, verify
-from .channels import _fmt17, _matrix_json
+from .channels import fmt17, matrix_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,12 +44,23 @@ def _read_text(path: str) -> str:
 def _load_checked_map(path: str) -> channels.KrausMap:
     raw = channels.load_map_json(_read_text(path))
     defect = channels.completeness_defect(raw)
-    if defect > channels.MODEL_TOL:
+    if not defect <= channels.MODEL_TOL:
         raise _Diagnostic(
             f"map file {path} violates the completeness condition: "
             f"defect {defect:.6e} exceeds {channels.MODEL_TOL:.1e}"
         )
     return channels.KrausMap(raw.dim, raw.operators, trace_preserving=True)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are invalid input."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 class _Diagnostic(RuntimeError):
@@ -103,7 +115,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         offdiag_max = float(np.abs(off).max())
         verdict = channels.cp_verdict(channels.choi_matrix(result.subsystem_map))
         row = [t, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max]
-        lines.append(",".join(_fmt17(x) for x in row))
+        lines.append(",".join(fmt17(x) for x in row))
     Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -133,9 +145,9 @@ def cmd_choi(args: argparse.Namespace) -> int:
     )
     doc = (
         "{"
-        + f'"dim":{raw.dim},"min_eigenvalue":{_fmt17(verdict.min_eigenvalue)},'
+        + f'"dim":{raw.dim},"min_eigenvalue":{fmt17(verdict.min_eigenvalue)},'
         + f'"is_cp":{"true" if verdict.is_cp else "false"},'
-        + f'"choi":{_matrix_json(choi)}'
+        + f'"choi":{matrix_json(choi)}'
         + "}\n"
     )
     if args.out:
@@ -159,19 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--rho", required=True, help="traced-out factor's state JSON file")
     p_reduce.add_argument("--keep", type=int, choices=(1, 2), default=1,
                           help="which subsystem to keep (default 1)")
-    p_reduce.add_argument("--truncation", type=float, default=reduction.DEFAULT_TRUNCATION,
+    p_reduce.add_argument("--truncation", type=_finite_float, default=reduction.DEFAULT_TRUNCATION,
                           help="relative eigenvalue cutoff for dropped operators")
     p_reduce.add_argument("--out", required=True, help="output map JSON file")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_case = sub.add_parser("case-study", help="sweep the damped two-qubit model")
-    p_case.add_argument("--gamma1", type=float, required=True)
-    p_case.add_argument("--gamma2", type=float, required=True)
-    p_case.add_argument("--a", type=float, required=True,
+    p_case.add_argument("--gamma1", type=_finite_float, required=True)
+    p_case.add_argument("--gamma2", type=_finite_float, required=True)
+    p_case.add_argument("--a", type=_finite_float, required=True,
                         help="initial population parameter of qubit 2, in [0, 1]")
-    p_case.add_argument("--t-max", type=float, required=True, dest="t_max")
+    p_case.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
     p_case.add_argument("--steps", type=int, required=True)
-    p_case.add_argument("--truncation", type=float, default=reduction.DEFAULT_TRUNCATION)
+    p_case.add_argument("--truncation", type=_finite_float, default=reduction.DEFAULT_TRUNCATION)
     p_case.add_argument("--out", required=True, help="output CSV file")
     p_case.set_defaults(func=cmd_case_study)
 
@@ -181,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_choi = sub.add_parser("choi", help="dump the Choi matrix of a map file")
     p_choi.add_argument("--map", required=True)
-    p_choi.add_argument("--tol", type=float, default=channels.CP_EIG_TOL)
+    p_choi.add_argument("--tol", type=_finite_float, default=channels.CP_EIG_TOL)
     p_choi.add_argument("--out", default=None)
     p_choi.set_defaults(func=cmd_choi)
     return parser

@@ -21,6 +21,7 @@ operators all factorize into tensor products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .linalg import (
 )
 
 # B eigenvalues below this are treated as a diagnostic failure rather than
-# rounding noise; the Jacobi solver leaves residuals around 1e-12 while a
+# rounding noise; the eigensolver leaves residuals around 1e-12 while a
 # genuinely inconsistent input produces order-one violations.
 B_EIG_DIAGNOSTIC_TOL = 1e-8
 
@@ -114,7 +115,7 @@ class BMatrix:
     def __post_init__(self):
         v = as_complex_matrix(self.values, "B matrix").copy()
         defect = hermiticity_defect(v)
-        if defect > STRUCTURAL_TOL:
+        if not defect <= STRUCTURAL_TOL:
             raise ValueError(f"B matrix is not Hermitian (defect {defect:.3e})")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -159,7 +160,7 @@ class SeparableEnsemble:
             raise ValueError("need one weight per product pair")
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(w) - 1.0) > STRUCTURAL_TOL:
+        if not abs(sum(w) - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"weights sum to {sum(w)}, expected 1")
         d1 = self.pairs[0][0].dim
         d2 = self.pairs[0][1].dim
@@ -253,8 +254,8 @@ def reduce_subsystem(
     """
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep}")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    if not 0.0 <= truncation < math.inf:
+        raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
     basis1 = build_hermitian_basis(split.d1)
     basis2 = build_hermitian_basis(split.d2)
     coeffs = c_coefficients(kmap, split, basis1, basis2)
@@ -350,7 +351,7 @@ def correlated_probe(
     marg_a = partial_trace(state_a.matrix, split.d1, split.d2, keep=1)
     marg_b = partial_trace(state_b.matrix, split.d1, split.d2, keep=1)
     gap = max_abs(marg_a - marg_b)
-    if gap > STRUCTURAL_TOL:
+    if not gap <= STRUCTURAL_TOL:
         raise ValueError(
             f"probe states must have equal subsystem-1 marginals "
             f"(difference {gap:.3e}); the comparison is meaningless otherwise"

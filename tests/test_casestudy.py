@@ -67,6 +67,17 @@ class TestDampingRates:
         with pytest.raises(ValueError):
             DampingRates(-0.1, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_name_the_field(self, bad):
+        with pytest.raises(ValueError, match="gamma1"):
+            DampingRates(bad, 0.5)
+        with pytest.raises(ValueError, match="gamma2"):
+            DampingRates(0.5, bad)
+        with pytest.raises(ValueError, match="time t"):
+            composite_kraus(bad, DampingRates(0.3, 1.0))
+        with pytest.raises(ValueError, match="time t"):
+            closed_form_b(bad, DampingRates(0.3, 1.0), 0.3)
+
     def test_tau_and_asymmetry(self):
         rates = DampingRates(0.3, 1.0)
         assert rates.tau(2.0) == pytest.approx(2.6)

@@ -51,6 +51,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityMatrix([[np.nan, 0], [0, 1]])
+
     def test_pure_state_normalizes(self):
         rho = pure_state([2.0, 0.0])
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
@@ -258,6 +262,20 @@ class TestSerialization:
         text = '{"dim":2,"kraus":[[[[1,0],[0,0]],[[0,0],"bad"]]]}'
         with pytest.raises(ValueError, match=r"kraus\[0\]\[1\]\[1\]"):
             load_map_json(text)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_entry_names_field(self, bad):
+        text = f'{{"dim":2,"kraus":[[[[1,0],[0,0]],[[0,0],[1,{bad}]]]]}}'
+        with pytest.raises(ValueError, match=r"kraus\[0\]\[1\]\[1\]: entries must be finite"):
+            load_map_json(text)
+        with pytest.raises(ValueError, match=r"rho\[0\]\[1\]"):
+            load_density_json(f'{{"dim":2,"rho":[[[1,0],[{bad},0]],[[0,0],[0,0]]]}}')
+
+    def test_bool_entry_and_dim_rejected(self):
+        with pytest.raises(ValueError, match=r"kraus\[0\]\[0\]\[0\]"):
+            load_map_json('{"dim":1,"kraus":[[[[true,0]]]]}')
+        with pytest.raises(ValueError, match="dim"):
+            load_map_json('{"dim":true,"kraus":[[[[1,0]]]]}')
 
     def test_missing_kraus_rejected(self):
         with pytest.raises(ValueError, match="kraus"):

@@ -194,6 +194,57 @@ class TestChoi:
         assert doc["dim"] == 2
 
 
+def exit_code(argv) -> int:
+    """cli.main's return value, or the code of argparse's SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNonFiniteAndBoolInput:
+    @pytest.mark.parametrize("bad", ["NaN", "true"])
+    def test_map_file_entry_rejected(self, bad, tmp_path, capsys):
+        map_path = tmp_path / "bad.json"
+        map_path.write_text(f'{{"dim":2,"kraus":[[[[1,0],[0,0]],[[0,0],[{bad},0]]]]}}')
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(dump_density_json(maximally_mixed(1)))
+        out_path = tmp_path / "out.json"
+        assert cli.main([
+            "reduce", "--map", str(map_path), "--d1", "2", "--d2", "1",
+            "--rho", str(rho_path), "--out", str(out_path),
+        ]) == 2
+        assert "kraus[0][1][1]" in capsys.readouterr().err
+        assert cli.main(["choi", "--map", str(map_path), "--out", str(out_path)]) == 2
+        assert "kraus[0][1][1]" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bad", ["NaN", "true"])
+    def test_density_file_entry_rejected(self, bad, case_study_files, tmp_path, capsys):
+        map_path, _, _, _ = case_study_files
+        rho_path = tmp_path / "bad_rho.json"
+        rho_path.write_text(f'{{"dim":2,"rho":[[[1,0],[0,0]],[[0,0],[{bad},0]]]}}')
+        assert cli.main([
+            "reduce", "--map", str(map_path), "--d1", "2", "--d2", "2",
+            "--rho", str(rho_path), "--out", str(tmp_path / "out.json"),
+        ]) == 2
+        assert "rho[1][1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--gamma1", "nan"), ("--gamma2", "-inf"), ("--a", "nan"),
+                       ("--t-max", "inf"), ("--truncation", "nan")],
+    )
+    def test_case_study_flag_rejected(self, flag, value, tmp_path, capsys):
+        args = {"--gamma1": "0.3", "--gamma2": "1.0", "--a": "0.3", "--t-max": "1.0"}
+        args[flag] = value
+        argv = ["case-study", "--steps", "5", "--out", str(tmp_path / "x.csv")]
+        for name, text in args.items():
+            argv += [name, text]
+        assert exit_code(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRoundTrips:
     def test_mapfile_roundtrip_through_cli_output(self, case_study_files, tmp_path):
         map_path, rho_path, _, _ = case_study_files

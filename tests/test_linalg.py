@@ -121,6 +121,22 @@ class TestHermitianEig:
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.unitary.tobytes() == b.unitary.tobytes()
 
+    def test_exact_tie_order(self):
+        # equal eigenvalues are ordered by their eigenvectors' components:
+        # e1 = (0, 1, 0) sorts before e0 = (1, 0, 0)
+        eig = hermitian_eig(np.diag([1.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(eig.eigenvalues, [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(eig.unitary, np.eye(3)[:, [1, 0, 2]])
+
+    @given(seeds, st.integers(min_value=2, max_value=9))
+    @settings(max_examples=40)
+    def test_phase_convention(self, seed, d):
+        eig = hermitian_eig(random_hermitian(rng_from(seed), d))
+        for p in range(d):
+            col = eig.unitary[:, p]
+            pivot = col[np.argmax(np.abs(col))]
+            assert pivot.imag == 0.0 and pivot.real > 0.0
+
     def test_zero_matrix(self):
         eig = hermitian_eig(np.zeros((3, 3)))
         np.testing.assert_array_equal(eig.eigenvalues, np.zeros(3))
@@ -129,6 +145,8 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eig(np.array([[np.nan, 0], [0, 1]]))
 
     def test_returns_type(self):
         assert isinstance(hermitian_eig(SIGMA[3]), EigenDecomposition)

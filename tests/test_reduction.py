@@ -161,6 +161,12 @@ class TestReduceSubsystem:
         closed = closed_form_subsystem_map(t, rates, a)
         assert channel_distance(result.subsystem_map, closed) < 1e-10
 
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_bad_truncation_rejected(self, bad):
+        kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
+        with pytest.raises(ValueError, match="truncation"):
+            reduce_subsystem(kmap, SPLIT22, qubit_state(0.3), truncation=bad)
+
     def test_identity_limit(self):
         kmap = composite_kraus(0.0, DampingRates(0.3, 1.0))
         result = reduce_subsystem(kmap, SPLIT22, qubit_state(0.7))
