@@ -10,7 +10,8 @@ carry their usual meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,10 +20,12 @@ from .linalg import STRUCTURAL_TOL, as_complex_matrix, hermiticity_defect
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """An ordered, orthonormal set of d*d Hermitian operators on dimension d."""
+    """An ordered, orthonormal set of d*d Hermitian operators on dimension d,
+    stored as one read-only (d*d, d, d) array whose rows are ``elements``."""
 
     dim: int
     elements: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dim
@@ -32,49 +35,46 @@ class OperatorBasis:
             raise ValueError(
                 f"basis for dimension {d} needs {d * d} elements, got {len(self.elements)}"
             )
-        elems = tuple(as_complex_matrix(e, f"elements[{i}]") for i, e in enumerate(self.elements))
+        elems = [as_complex_matrix(e, f"elements[{i}]") for i, e in enumerate(self.elements)]
         for i, e in enumerate(elems):
             if e.shape[0] != d:
                 raise ValueError(f"elements[{i}] has dimension {e.shape[0]}, expected {d}")
-            if hermiticity_defect(e) > STRUCTURAL_TOL:
+            if not hermiticity_defect(e) <= STRUCTURAL_TOL:
                 raise ValueError(f"elements[{i}] is not Hermitian")
-        stack = np.stack(elems)
+        stack = np.array(elems)
         gram = np.einsum("iab,jba->ij", stack, stack)
-        if np.abs(gram - np.eye(d * d)).max() > STRUCTURAL_TOL:
+        if not np.abs(gram - np.eye(d * d)).max() <= STRUCTURAL_TOL:
             raise ValueError("basis is not orthonormal under tr(g_i g_j) = delta_ij")
-        if np.abs(elems[0] - np.eye(d) / np.sqrt(d)).max() > STRUCTURAL_TOL:
+        if not np.abs(stack[0] - np.eye(d) / np.sqrt(d)).max() <= STRUCTURAL_TOL:
             raise ValueError("element 0 must be identity / sqrt(d)")
-        object.__setattr__(self, "elements", elems)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     def stacked(self) -> np.ndarray:
-        """All elements as one (d*d, d, d) array."""
-        return np.stack(self.elements)
+        """All elements as one read-only (d*d, d, d) array."""
+        return self._stack
 
 
+@functools.lru_cache(maxsize=16)
 def build_hermitian_basis(d: int) -> OperatorBasis:
-    """Generalized Gell-Mann basis for dimension d."""
+    """Generalized Gell-Mann basis for dimension d, built once per dimension."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if d == 1:
-        return OperatorBasis(1, (np.ones((1, 1), dtype=complex),))
-    elems: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[j, k] = g[k, j] = 1 / np.sqrt(2)
-            elems.append(g)
-    for j in range(d):
-        for k in range(j + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[j, k] = -1j / np.sqrt(2)
-            g[k, j] = 1j / np.sqrt(2)
-            elems.append(g)
+    stack = np.zeros((d * d, d, d), dtype=complex)
+    stack[0] = np.eye(d) / np.sqrt(d)
+    rows, cols = np.triu_indices(d, 1)  # the pairs j < k, row by row
+    sym = np.arange(1, len(rows) + 1)
+    anti = sym + len(rows)
+    stack[sym, rows, cols] = stack[sym, cols, rows] = 1 / np.sqrt(2)
+    stack[anti, rows, cols] = -1j / np.sqrt(2)
+    stack[anti, cols, rows] = 1j / np.sqrt(2)
     for l in range(1, d):
         diag = np.zeros(d, dtype=complex)
         diag[:l] = 1.0
         diag[l] = -l
-        elems.append(np.diag(diag) / np.sqrt(l * (l + 1)))
-    return OperatorBasis(d, tuple(elems))
+        stack[d * d - d + l] = np.diag(diag) / np.sqrt(l * (l + 1))
+    return OperatorBasis(d, stack)
 
 
 def expand(m, basis: OperatorBasis) -> np.ndarray:

@@ -62,6 +62,14 @@ class ModelParams:
     nu_max: float = math.inf
 
     def __post_init__(self):
+        for name in ("omega", "beta", "temperature", "alpha", "nu_c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"model parameter {name} must be finite, got {value}")
+        if math.isnan(self.nu_max):
+            raise ValueError(f"model parameter nu_max must not be NaN, got {self.nu_max}")
+        if self.alpha < 0:
+            raise ValueError(f"model parameter alpha must be nonnegative, got {self.alpha}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.nu_c <= 0:
@@ -217,26 +225,21 @@ def composite_kraus(t: float, rates: DampingRates) -> KrausMap:
     p1 = (1.0 - x1) / 2.0
     p2 = (1.0 - x2) / 2.0
 
-    k1 = np.zeros((4, 4), dtype=complex)
-    k1[1, 3] = 1j * q2
-    k1[3, 1] = -1j * q2
-    k2 = np.zeros((4, 4), dtype=complex)
-    k2[1, 3] = -q2
-    k2[3, 1] = -q2
-    k3 = np.zeros((4, 4), dtype=complex)
-    k3[0, 2] = q1
-    k3[2, 0] = q1
-    k4 = np.zeros((4, 4), dtype=complex)
-    k4[0, 2] = -1j * q1
-    k4[2, 0] = 1j * q1
-    k5 = np.diag([0.0, -p2, 0.0, p2]).astype(complex)
-    k6 = np.diag([p1, 0.0, -p1, 0.0]).astype(complex)
-
     (k7a, k7b), (k8a, k8b) = _diagonal_sector(x1, x2, eps, t, rates)
-    k7 = np.diag([k7a, k7b, k7a, k7b]).astype(complex)
-    k8 = np.diag([k8a, k8b, k8a, k8b]).astype(complex)
 
-    return KrausMap(4, (k1, k2, k3, k4, k5, k6, k7, k8), trace_preserving=True)
+    ops = np.zeros((8, 4, 4), dtype=complex)
+    ops[0, 1, 3], ops[0, 3, 1] = 1j * q2, -1j * q2
+    ops[1, 1, 3] = ops[1, 3, 1] = -q2
+    ops[2, 0, 2] = ops[2, 2, 0] = q1
+    ops[3, 0, 2], ops[3, 2, 0] = -1j * q1, 1j * q1
+    diag = np.arange(4)
+    ops[4:, diag, diag] = (
+        (0.0, -p2, 0.0, p2),
+        (p1, 0.0, -p1, 0.0),
+        (k7a, k7b, k7a, k7b),
+        (k8a, k8b, k8a, k8b),
+    )
+    return KrausMap(4, ops, trace_preserving=True)
 
 
 def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float, float, float]:
@@ -311,8 +314,4 @@ def to_schrodinger(
     else:
         raise ValueError(f"unknown subsystem {subsystem!r}; use 'composite' or 'qubit1'")
     u = evolution_unitary(h, t)
-    return KrausMap(
-        kmap.dim,
-        tuple(u @ op for op in kmap.operators),
-        trace_preserving=kmap.trace_preserving,
-    )
+    return KrausMap(kmap.dim, u @ kmap.stacked(), trace_preserving=kmap.trace_preserving)

@@ -1,12 +1,12 @@
 """Quantum states and Kraus-represented dynamical maps.
 
-A map is stored as an explicit operator list; trace preservation is an
-asserted construction flag rather than an inferred property, so
-non-trace-preserving operator lists can still be carried around during
-diagnostics. Complete positivity is witnessed through the (unnormalized)
-Choi matrix, and maps are compared as superoperators through their Choi
-matrices, which makes the comparison blind to the unitary mixing freedom
-of Kraus decompositions.
+A map is stored as one read-only (n, dim, dim) stack of its operators;
+trace preservation is an asserted construction flag rather than an inferred
+property, so non-trace-preserving operator lists can still be carried around
+during diagnostics. Complete positivity is witnessed through the
+(unnormalized) Choi matrix, and maps are compared as superoperators through
+their Choi matrices, which makes the comparison blind to the unitary mixing
+freedom of Kraus decompositions.
 
 This module also owns the JSON wire formats for operator files. Floats are
 serialized with 17 significant digits so that write / read / write round
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -64,6 +64,9 @@ class DensityMatrix:
 def pure_state(amplitudes) -> DensityMatrix:
     """Projector onto the given state vector (normalized if necessary)."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"amplitudes[{bad[0]}] must be finite, got {v[bad[0]]}")
     norm = np.sqrt(float(np.vdot(v, v).real))
     if norm == 0.0:
         raise ValueError("state vector must be nonzero")
@@ -79,13 +82,16 @@ def maximally_mixed(d: int) -> DensityMatrix:
 class KrausMap:
     """An ordered list of same-dimension Kraus operators.
 
-    When ``trace_preserving`` is asserted, the completeness condition
+    ``operators`` (matrices or an (n, dim, dim) array) is copied once into the
+    read-only stack returned by :meth:`stacked`, and becomes its rows. When
+    ``trace_preserving`` is asserted, the completeness condition
     ``sum_k K_k^dagger K_k = I`` is checked at model tolerance (1e-8).
     """
 
     dim: int
     operators: tuple[np.ndarray, ...]
     trace_preserving: bool = True
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -94,14 +100,16 @@ class KrausMap:
             raise ValueError("a Kraus map needs at least one operator")
         ops = []
         for i, op in enumerate(self.operators):
-            a = as_complex_matrix(op, f"operators[{i}]").copy()
+            a = as_complex_matrix(op, f"operators[{i}]")
             if a.shape[0] != self.dim:
                 raise ValueError(
                     f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
                 )
-            a.setflags(write=False)
             ops.append(a)
-        object.__setattr__(self, "operators", tuple(ops))
+        stack = np.array(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         if self.trace_preserving:
             defect = completeness_defect(self)
             if not defect <= MODEL_TOL:
@@ -114,15 +122,17 @@ class KrausMap:
     @classmethod
     def from_operators(cls, operators, trace_preserving: bool = True) -> "KrausMap":
         first = as_complex_matrix(operators[0], "operators[0]")
-        return cls(first.shape[0], tuple(operators), trace_preserving)
+        return cls(first.shape[0], operators, trace_preserving)
+
+    def stacked(self) -> np.ndarray:
+        """All operators as one read-only (n, dim, dim) array."""
+        return self._stack
 
 
 def completeness_defect(kmap: KrausMap) -> float:
     """Max-entry norm of sum_k K_k^dagger K_k - I."""
-    s = np.zeros((kmap.dim, kmap.dim), dtype=complex)
-    for op in kmap.operators:
-        s += dagger(op) @ op
-    return max_abs(s - np.eye(kmap.dim))
+    v = kmap.stacked().reshape(-1, kmap.dim)  # operators one above the other: V^dagger V
+    return max_abs(dagger(v) @ v - np.eye(kmap.dim))
 
 
 def apply_matrix(kmap: KrausMap, m) -> np.ndarray:
@@ -132,10 +142,8 @@ def apply_matrix(kmap: KrausMap, m) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: matrix is {a.shape[0]}-dimensional, map is {kmap.dim}"
         )
-    out = np.zeros_like(a)
-    for op in kmap.operators:
-        out += op @ a @ dagger(op)
-    return out
+    stack = kmap.stacked()
+    return (stack @ a @ dagger(stack)).sum(axis=0)
 
 
 def apply_map(kmap: KrausMap, rho: DensityMatrix) -> DensityMatrix:
@@ -175,7 +183,7 @@ def choi_of_any(kmap: KrausMap) -> np.ndarray:
     With ``V[k]`` the column-major vectorization of ``K_k``, the Choi matrix
     is ``sum_k V[k] V[k]^dagger = V^T conj(V)``.
     """
-    v = np.stack([op.ravel(order="F") for op in kmap.operators])
+    v = kmap.stacked().swapaxes(1, 2).reshape(len(kmap.operators), -1)
     return v.T @ v.conj()
 
 
@@ -244,7 +252,7 @@ def dump_map_json(kmap: KrausMap, label: Optional[str] = None) -> str:
     parts = [f'"dim":{kmap.dim}']
     if label is not None:
         parts.append(f'"label":{json.dumps(label)}')
-    ops = ",".join(matrix_json(op) for op in kmap.operators)
+    ops = ",".join(map(matrix_json, kmap.operators))
     parts.append(f'"kraus":[{ops}]')
     return "{" + ",".join(parts) + "}\n"
 

@@ -206,7 +206,7 @@ def c_coefficients(
             f"bipartition ({split.d1}, {split.d2})"
         )
     d1, d2 = split.d1, split.d2
-    stack = np.stack(kmap.operators).reshape(len(kmap.operators), d1, d2, d1, d2)
+    stack = kmap.stacked().reshape(-1, d1, d2, d1, d2)
     values = np.einsum(
         "kabcd,ica,jdb->kij", stack, basis1.stacked(), basis2.stacked()
     )
@@ -272,19 +272,14 @@ def reduce_subsystem(
     eig = hermitian_eig(b.values)
     if eig.eigenvalues[0] < -B_EIG_DIAGNOSTIC_TOL:
         raise NonPositiveBMatrixError(eig.eigenvalues[0])
-    order = np.arange(len(eig.eigenvalues))[::-1]
-    eigenvalues = np.clip(eig.eigenvalues[order], 0.0, None)
-    mixing = eig.unitary[:, order]
+    eigenvalues = np.clip(eig.eigenvalues[::-1], 0.0, None)
+    mixing = eig.unitary[:, ::-1]
     largest = eigenvalues[0]
     if largest == 0.0:
         raise ValueError("mixing matrix is zero; the parent map has no action")
     kept = eigenvalues >= truncation * largest
-    stack = own_basis.stacked()
-    operators = tuple(
-        np.sqrt(eigenvalues[p]) * np.einsum("i,iab->ab", mixing[:, p], stack)
-        for p in range(len(eigenvalues))
-        if kept[p]
-    )
+    weighted = mixing[:, kept] * np.sqrt(eigenvalues[kept])
+    operators = np.tensordot(weighted, own_basis.stacked(), axes=(0, 0))
     subsystem_map = KrausMap(
         own_basis.dim, operators, trace_preserving=kmap.trace_preserving
     )
@@ -370,8 +365,7 @@ def factorization_check(
     an all-zero operator is reported as a product with ``is_zero`` set.
     """
     out = []
-    for k in range(coeffs.operator_count):
-        s = np.linalg.svd(coeffs.values[k], compute_uv=False)
+    for s in np.linalg.svd(coeffs.values, compute_uv=False):
         if s[0] == 0.0:
             out.append(OperatorFactorization(True, True, 0.0))
             continue

@@ -107,3 +107,22 @@ def test_operator_basis_validation():
         OperatorBasis(2, (good.elements[0], np.array([[0, 1], [0, 0]]), *good.elements[2:]))
     with pytest.raises(ValueError, match="identity"):
         OperatorBasis(2, (good.elements[1], good.elements[0], *good.elements[2:]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        OperatorBasis(2, (good.elements[0], np.full((2, 2), np.nan), *good.elements[2:]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_is_built_once_per_dimension(d):
+    assert build_hermitian_basis(d) is build_hermitian_basis(d)
+
+
+def test_basis_storage_is_one_read_only_stack():
+    bas = build_hermitian_basis(3)
+    assert bas.stacked() is bas.stacked()
+    assert bas.stacked().shape == (9, 3, 3)
+    for i, e in enumerate(bas.elements):
+        np.testing.assert_array_equal(e, bas.stacked()[i])
+    with pytest.raises(ValueError):
+        bas.elements[1][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        bas.stacked()[0, 0, 0] = 5.0

@@ -78,6 +78,23 @@ class TestDampingRates:
         with pytest.raises(ValueError, match="time t"):
             closed_form_b(bad, DampingRates(0.3, 1.0), 0.3)
 
+    @pytest.mark.parametrize("field", ["omega", "beta", "temperature", "alpha", "nu_c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_model_params_reject_non_finite_by_name(self, field, bad):
+        good = dict(omega=1.0, beta=0.2, temperature=10.0, alpha=0.01, nu_c=5.0)
+        with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
+            ModelParams(**{**good, field: bad})
+
+    def test_model_params_nu_max(self):
+        good = dict(omega=1.0, beta=0.2, temperature=10.0, alpha=0.01, nu_c=5.0)
+        assert ModelParams(**good).nu_max == math.inf
+        with pytest.raises(ValueError, match="nu_max"):
+            ModelParams(**good, nu_max=math.nan)
+
+    def test_model_params_reject_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            ModelParams(omega=1.0, beta=0.2, temperature=10.0, alpha=-0.1, nu_c=5.0)
+
     def test_tau_and_asymmetry(self):
         rates = DampingRates(0.3, 1.0)
         assert rates.tau(2.0) == pytest.approx(2.6)

@@ -59,6 +59,11 @@ class TestDensityMatrix:
         rho = pure_state([2.0, 0.0])
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_state_names_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match=r"amplitudes\[1\] must be finite"):
+            pure_state([1.0, bad])
+
     def test_maximally_mixed(self):
         np.testing.assert_allclose(maximally_mixed(3).matrix, np.eye(3) / 3)
 
@@ -83,6 +88,34 @@ class TestKrausMap:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             KrausMap(2, (np.eye(2), np.eye(3)), trace_preserving=False)
+
+    def test_operators_are_rows_of_one_read_only_stack(self):
+        kmap = KrausMap(2, (SIGMA[1] / np.sqrt(2), SIGMA[3] / np.sqrt(2)))
+        assert kmap.stacked() is kmap.stacked()
+        assert kmap.stacked().shape == (2, 2, 2)
+        for k, op in enumerate(kmap.operators):
+            np.testing.assert_array_equal(op, kmap.stacked()[k])
+        with pytest.raises(ValueError):
+            kmap.operators[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            kmap.stacked()[1, 0, 0] = 1.0
+
+    def test_caller_arrays_are_copied(self):
+        ops = [np.eye(2, dtype=complex)]
+        stack = np.eye(2, dtype=complex)[None].copy()
+        from_list = KrausMap(2, ops)
+        from_stack = KrausMap(2, stack)
+        ops[0][0, 0] = 7.0
+        stack[0, 0, 0] = 7.0
+        np.testing.assert_array_equal(from_list.operators[0], np.eye(2))
+        np.testing.assert_array_equal(from_stack.stacked()[0], np.eye(2))
+
+    def test_accepts_ndarray_stack(self):
+        stack = np.stack([np.sqrt(w / 2) * SIGMA[i] for i, w in enumerate((1.2, 0.3, 0.3, 0.2))])
+        kmap = KrausMap(2, stack)
+        assert len(kmap.operators) == 4
+        np.testing.assert_array_equal(kmap.stacked(), stack)
+        assert completeness_defect(kmap) < 1e-15
 
 
 class TestApplyMap:
@@ -300,3 +333,12 @@ def test_apply_matrix_is_linear_action():
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     direct = sum(op @ m @ op.conj().T for op in kmap.operators)
     np.testing.assert_allclose(apply_matrix(kmap, m), direct, atol=1e-14)
+
+
+@given(seeds)
+@settings(max_examples=25)
+def test_completeness_defect_matches_operator_loop(seed):
+    kmap = random_tp_kraus(rng_from(seed), 3, 4)
+    raw = KrausMap(3, tuple(0.9 * op for op in kmap.operators), trace_preserving=False)
+    direct = sum(op.conj().T @ op for op in raw.operators) - np.eye(3)
+    assert abs(completeness_defect(raw) - np.abs(direct).max()) < 1e-14

@@ -394,6 +394,13 @@ class TestFactorization:
         assert all(f.is_product for f in flags)
         assert max(f.singular_ratio for f in flags) < 1e-10
 
+    def test_case_study_at_zero_time(self):
+        # at t = 0 operators 0-6 vanish and operator 7 is -I, a nonzero product
+        kmap = composite_kraus(0.0, DampingRates(0.3, 1.0))
+        flags = factorization_check(c_coefficients(kmap, SPLIT22, B2, B2))
+        assert [f.is_zero for f in flags] == [True] * 7 + [False]
+        assert all(f.is_product for f in flags)
+
     def test_zero_operator_flagged(self):
         kmap = KrausMap(4, (np.zeros((4, 4), dtype=complex),), trace_preserving=False)
         flags = factorization_check(c_coefficients(kmap, SPLIT22, B2, B2))
