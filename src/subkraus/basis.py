@@ -18,10 +18,12 @@ import numpy as np
 from .linalg import STRUCTURAL_TOL, as_complex_matrix, hermiticity_defect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """An ordered, orthonormal set of d*d Hermitian operators on dimension d,
-    stored as one read-only (d*d, d, d) array whose rows are ``elements``."""
+    stored as one read-only (d*d, d, d) array whose rows are ``elements``.
+    Two bases are equal when their dimension and elements are; bases are
+    unhashable."""
 
     dim: int
     elements: tuple[np.ndarray, ...]
@@ -54,6 +56,13 @@ class OperatorBasis:
     def stacked(self) -> np.ndarray:
         """All elements as one read-only (d*d, d, d) array."""
         return self._stack
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorBasis):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self._stack, other._stack)
+
+    __hash__ = None
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,6 +20,9 @@ so they are evaluated here through the spectral factorization of the
 with x_p = exp(-16 gamma_p t) and e = exp(-8 (gamma1 + gamma2) t). This is
 algebraically identical to the closed form, manifestly positive
 semidefinite, and finite for arbitrarily large times.
+
+The operators are evaluated for a whole time grid at once by
+:func:`composite_kraus_grid`; :func:`composite_kraus` is its one-point case.
 """
 
 from __future__ import annotations
@@ -29,12 +32,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausMap
-from .linalg import evolution_unitary, tensor_product
+from .channels import DensityMatrix, KrausMap, completeness_defect
+from .linalg import (
+    MODEL_TOL,
+    evolution_unitary,
+    first_failure,
+    nonnegative_real,
+    tensor_product,
+)
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Where each closed-form amplitude sits in the eight operators: one row per
+# amplitude, in the column order of the amplitude table built by
+# composite_kraus_grid, listing (operator, row, column, factor).
+_LAYOUT = (
+    ((2, 0, 2, 1), (2, 2, 0, 1), (3, 0, 2, -1j), (3, 2, 0, 1j)),  # q1
+    ((0, 1, 3, 1j), (0, 3, 1, -1j), (1, 1, 3, -1), (1, 3, 1, -1)),  # q2
+    ((5, 0, 0, 1), (5, 2, 2, -1)),  # p1
+    ((4, 1, 1, -1), (4, 3, 3, 1)),  # p2
+    ((6, 0, 0, 1), (6, 2, 2, 1)),  # first component of the k7 sector
+    ((7, 0, 0, 1), (7, 2, 2, 1)),  # first component of the k8 sector
+    ((6, 1, 1, 1), (6, 3, 3, 1)),  # second component of k7
+    ((7, 1, 1, 1), (7, 3, 3, 1)),  # second component of k8
+)
+_PLACEMENT = np.zeros((len(_LAYOUT), 8, 4, 4), dtype=complex)
+for _amp, _entries in enumerate(_LAYOUT):
+    for _op, _row, _col, _factor in _entries:
+        _PLACEMENT[_amp, _op, _row, _col] = _factor
+_PLACEMENT = _PLACEMENT.reshape(len(_LAYOUT), -1)
 
 # Discriminant floor for the coherence Gram matrix; with valid rates it is
 # nonnegative up to rounding, so anything below this signals broken inputs.
@@ -91,11 +119,7 @@ class DampingRates:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(
-                    f"damping rate {name} must be finite and nonnegative, got {value}"
-                )
+            nonnegative_real(getattr(self, name), f"damping rate {name}")
 
     def tau(self, t: float) -> float:
         """Dimensionless time (gamma1 + gamma2) * t."""
@@ -167,79 +191,95 @@ def qubit_state(a: float) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v))
 
 
-def _diagonal_sector(x1: float, x2: float, eps: float, t: float, rates: DampingRates):
-    """Spectral factorization of the coherence Gram matrix.
-
-    Returns the diagonal entries (on positions 1 and 2 of each 4x4 diagonal,
-    repeated on 3 and 4) of the two diagonal Kraus operators.
-    """
-    m11 = (1.0 + x1) ** 2 / 4.0
-    m22 = (1.0 + x2) ** 2 / 4.0
-    m12 = eps
-    delta = m11 - m22
-    big_r = math.hypot(delta, 2.0 * m12)
-    total = m11 + m22
-    lam_plus = (total + big_r) / 2.0
-    lam_minus = (total - big_r) / 2.0
-    if lam_minus < -_DISCRIMINANT_TOL * max(lam_plus, 1.0):
-        raise ModelInconsistencyError(
-            f"coherence sector lost positivity at t={t} "
-            f"(gamma1={rates.gamma1}, gamma2={rates.gamma2}): "
-            f"eigenvalue {lam_minus:.6e}"
+def _check_times(ts) -> np.ndarray:
+    """A 1-D float array of finite, nonnegative times; names the first bad one."""
+    t = np.asarray(ts)
+    if t.ndim != 1 or t.dtype.kind not in "iuf":
+        raise ValueError(
+            f"times ts must be a 1-D sequence of real numbers, got {t.dtype} of shape {t.shape}"
         )
-    lam_minus = max(lam_minus, 0.0)
-    if big_r == 0.0:
-        # fully decohered limit: the Gram matrix is a multiple of identity
-        return (0.0, math.sqrt(lam_minus)), (-math.sqrt(lam_plus), 0.0)
-    norm_minus = math.sqrt(m12 * m12 + (big_r + delta) ** 2 / 4.0)
-    norm_plus = math.sqrt(m12 * m12 + (big_r - delta) ** 2 / 4.0)
-    k7 = (
-        math.sqrt(lam_minus) * m12 / norm_minus,
-        -math.sqrt(lam_minus) * (big_r + delta) / (2.0 * norm_minus),
-    )
-    k8 = (
-        -math.sqrt(lam_plus) * m12 / norm_plus,
-        -math.sqrt(lam_plus) * (big_r - delta) / (2.0 * norm_plus),
-    )
-    return k7, k8
+    t = t.astype(float)
+    bad = first_failure((t >= 0.0) & (t < math.inf))
+    if bad is not None:
+        raise ValueError(f"time t must be finite and nonnegative, got {t[bad]} (ts[{bad}])")
+    return t
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time t must be finite and nonnegative, got {t}")
+def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
+    """The eight interaction-picture Kraus operators at every time of a grid.
+
+    Returns a read-only (T, 8, 4, 4) array; basis order |00>, |01>, |10>,
+    |11>. At t = 0 the first seven operators vanish and the eighth is -I, the
+    identity channel; with both rates zero the map is frozen there for all
+    times. All operators are Hermitian. The time check, the positivity of
+    the coherence sector and completeness (at model tolerance) hold at every
+    grid point, and a failure names the first failing t.
+    """
+    t = _check_times(ts)
+    # columns p = 0, 1 hold the qubit-p quantities x_p, q_p, p_p, (1 + x_p)^2 / 4
+    with np.errstate(over="ignore"):  # a rate times a time past 1e308 decays to exactly 0
+        x = np.exp(-16.0 * np.array([rates.gamma1, rates.gamma2]) * t[:, None])
+        eps = np.exp(-8.0 * (rates.gamma1 + rates.gamma2) * t)
+    q = np.sqrt(np.maximum(1.0 - x * x, 0.0)) / 2.0
+    p = (1.0 - x) / 2.0
+
+    # spectral factorization of the coherence Gram matrix [[m11, eps], [eps, m22]]
+    m = (1.0 + x) ** 2 / 4.0
+    delta = m[:, 0] - m[:, 1]
+    big_r = np.hypot(delta, 2.0 * eps)
+    total = m[:, 0] + m[:, 1]
+    lam_minus = (total - big_r) / 2.0
+    lam_plus = (total + big_r) / 2.0
+    bad = first_failure(lam_minus >= -_DISCRIMINANT_TOL * np.maximum(lam_plus, 1.0))
+    if bad is not None:
+        raise ModelInconsistencyError(
+            f"coherence sector lost positivity at t={t[bad]} "
+            f"(gamma1={rates.gamma1}, gamma2={rates.gamma2}): "
+            f"eigenvalue {lam_minus[bad]:.6e}"
+        )
+    # Column 0 is lam_minus with eigenvector (eps, -(R + delta) / 2), column 1
+    # lam_plus with (-eps, -(R - delta) / 2). Where R + sign * delta would
+    # cancel, the same vector is taken from the other row of M - lam, as
+    # (sign * (R - sign * delta) / 2, -eps). At R = 0, the fully decohered
+    # limit, M is a multiple of the identity and the eigenvectors are (0, 1)
+    # and (-1, 0).
+    sign = np.array([1.0, -1.0])
+    signed_delta = sign * delta[:, None]
+    big_r = big_r[:, None]
+    stable = signed_delta >= 0.0
+    first = np.where(stable, eps[:, None] * sign, sign * (big_r - signed_delta) / 2.0)
+    second = np.where(stable, -(big_r + signed_delta) / 2.0, -eps[:, None])
+    decohered = big_r == 0.0
+    first = np.where(decohered, (0.0, -1.0), first)
+    second = np.where(decohered, (1.0, 0.0), second)
+    # normalize at unit scale: at large t both components are subnormal, and
+    # a norm taken there keeps only a few significant digits
+    scale = np.maximum(np.abs(first), np.abs(second))
+    first, second = first / scale, second / scale
+    norm = np.hypot(first, second)
+    root = np.sqrt(np.maximum(np.stack((lam_minus, lam_plus), axis=-1), 0.0))
+    first = root * first / norm
+    second = root * second / norm
+
+    # every operator entry is one amplitude times a fixed factor, so one
+    # product with the placement table fills all of them exactly
+    amplitudes = np.concatenate((q, p, first, second), axis=1)
+    ops = (amplitudes @ _PLACEMENT).reshape(len(t), 8, 4, 4)
+    defect = completeness_defect(ops)
+    bad = first_failure(defect <= MODEL_TOL)
+    if bad is not None:
+        raise ValueError(
+            f"composite operators violate the completeness condition at t={t[bad]} "
+            f"(defect {defect[bad]:.3e} > {MODEL_TOL:.1e})"
+        )
+    ops.setflags(write=False)
+    return ops
 
 
 def composite_kraus(t: float, rates: DampingRates) -> KrausMap:
-    """The eight interaction-picture Kraus operators of the qubit pair.
-
-    Basis order |00>, |01>, |10>, |11>. At t = 0 the first seven operators
-    vanish and the eighth is -I, the identity channel; with both rates zero
-    the map is frozen there for all times. All operators are Hermitian.
-    """
-    _check_time(t)
-    x1 = math.exp(-16.0 * rates.gamma1 * t)
-    x2 = math.exp(-16.0 * rates.gamma2 * t)
-    eps = math.exp(-8.0 * (rates.gamma1 + rates.gamma2) * t)
-    q1 = math.sqrt(max(1.0 - x1 * x1, 0.0)) / 2.0
-    q2 = math.sqrt(max(1.0 - x2 * x2, 0.0)) / 2.0
-    p1 = (1.0 - x1) / 2.0
-    p2 = (1.0 - x2) / 2.0
-
-    (k7a, k7b), (k8a, k8b) = _diagonal_sector(x1, x2, eps, t, rates)
-
-    ops = np.zeros((8, 4, 4), dtype=complex)
-    ops[0, 1, 3], ops[0, 3, 1] = 1j * q2, -1j * q2
-    ops[1, 1, 3] = ops[1, 3, 1] = -q2
-    ops[2, 0, 2] = ops[2, 2, 0] = q1
-    ops[3, 0, 2], ops[3, 2, 0] = -1j * q1, 1j * q1
-    diag = np.arange(4)
-    ops[4:, diag, diag] = (
-        (0.0, -p2, 0.0, p2),
-        (p1, 0.0, -p1, 0.0),
-        (k7a, k7b, k7a, k7b),
-        (k8a, k8b, k8a, k8b),
-    )
-    return KrausMap(4, ops, trace_preserving=True)
+    """The composite map at one time; see :func:`composite_kraus_grid`."""
+    nonnegative_real(t, "time t")
+    return KrausMap(4, composite_kraus_grid((t,), rates)[0], trace_preserving=True)
 
 
 def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float, float, float]:
@@ -249,7 +289,7 @@ def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float
     2 identically, which is the trace-preservation condition of the reduced
     Pauli channel.
     """
-    _check_time(t)
+    nonnegative_real(t, "time t")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"population parameter must lie in [0, 1], got {a}")
     x1 = math.exp(-16.0 * rates.gamma1 * t)

@@ -3,7 +3,9 @@
 A map is stored as one read-only (n, dim, dim) stack of its operators;
 trace preservation is an asserted construction flag rather than an inferred
 property, so non-trace-preserving operator lists can still be carried around
-during diagnostics. Complete positivity is witnessed through the
+during diagnostics. The completeness, Choi and CP functions also take a bare
+(..., n, dim, dim) stack of maps, such as a model sampled on a time grid, and
+apply their gates to each map of it. Complete positivity is witnessed through the
 (unnormalized) Choi matrix, and maps are compared as superoperators through
 their Choi matrices, which makes the comparison blind to the unitary mixing
 freedom of Kraus decompositions.
@@ -26,9 +28,11 @@ from .linalg import (
     MODEL_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
+    as_complex_stack,
     dagger,
+    first_failure,
     hermiticity_defect,
-    max_abs,
+    stack_member,
 )
 
 # Choi eigenvalues above this (negative) floor count as nonnegative.
@@ -67,10 +71,11 @@ def pure_state(amplitudes) -> DensityMatrix:
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"amplitudes[{bad[0]}] must be finite, got {v[bad[0]]}")
-    norm = np.sqrt(float(np.vdot(v, v).real))
-    if norm == 0.0:
+    scale = np.abs(v).max()
+    if scale == 0.0:
         raise ValueError("state vector must be nonzero")
-    v = v / norm
+    v = v / scale  # so that the norm neither overflows nor underflows
+    v = v / np.sqrt(float(np.vdot(v, v).real))
     return DensityMatrix(np.outer(v, v.conj()))
 
 
@@ -78,7 +83,7 @@ def maximally_mixed(d: int) -> DensityMatrix:
     return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """An ordered list of same-dimension Kraus operators.
 
@@ -86,6 +91,8 @@ class KrausMap:
     read-only stack returned by :meth:`stacked`, and becomes its rows. When
     ``trace_preserving`` is asserted, the completeness condition
     ``sum_k K_k^dagger K_k = I`` is checked at model tolerance (1e-8).
+    Two maps are equal when their dimension, flag and operator lists are;
+    maps are unhashable.
     """
 
     dim: int
@@ -98,15 +105,17 @@ class KrausMap:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if len(self.operators) == 0:
             raise ValueError("a Kraus map needs at least one operator")
-        ops = []
-        for i, op in enumerate(self.operators):
-            a = as_complex_matrix(op, f"operators[{i}]")
-            if a.shape[0] != self.dim:
-                raise ValueError(
-                    f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
-                )
-            ops.append(a)
-        stack = np.array(ops)
+        ops = self.operators
+        if not (isinstance(ops, np.ndarray) and ops.shape[1:] == (self.dim, self.dim)):
+            ops = []
+            for i, op in enumerate(self.operators):
+                a = as_complex_matrix(op, f"operators[{i}]")
+                if a.shape[0] != self.dim:
+                    raise ValueError(
+                        f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
+                    )
+                ops.append(a)
+        stack = np.array(ops, dtype=complex)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -128,11 +137,37 @@ class KrausMap:
         """All operators as one read-only (n, dim, dim) array."""
         return self._stack
 
+    def __eq__(self, other):
+        if not isinstance(other, KrausMap):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.trace_preserving == other.trace_preserving
+            and np.array_equal(self._stack, other._stack)
+        )
 
-def completeness_defect(kmap: KrausMap) -> float:
-    """Max-entry norm of sum_k K_k^dagger K_k - I."""
-    v = kmap.stacked().reshape(-1, kmap.dim)  # operators one above the other: V^dagger V
-    return max_abs(dagger(v) @ v - np.eye(kmap.dim))
+    __hash__ = None
+
+
+def operator_stack(kmap) -> np.ndarray:
+    """The operators of a ``KrausMap`` as its (n, dim, dim) stack, or a bare
+    (..., n, dim, dim) stack of maps as a complex array."""
+    if isinstance(kmap, KrausMap):
+        return kmap.stacked()
+    stack = as_complex_stack(kmap, "operator stack")
+    if stack.ndim < 3:
+        raise ValueError(f"operator stack must be (..., n, dim, dim), got shape {stack.shape}")
+    return stack
+
+
+def completeness_defect(kmap):
+    """Max-entry norm of sum_k K_k^dagger K_k - I: a float for a map, one
+    value per map for a stack of maps."""
+    stack = operator_stack(kmap)
+    d = stack.shape[-1]
+    v = stack.reshape(*stack.shape[:-3], -1, d)  # operators one above the other: V^dagger V
+    defect = np.abs(dagger(v) @ v - np.eye(d)).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def apply_matrix(kmap: KrausMap, m) -> np.ndarray:
@@ -157,44 +192,59 @@ class ChoiMatrix:
     """Unnormalized Choi matrix of a channel on dimension ``dim``.
 
     Built as sum_{a,b} |a><b| (x) Phi(|a><b|); a trace-preserving channel
-    gives trace equal to ``dim``.
+    gives trace equal to ``dim``. ``matrix`` may also be a (..., dim^2, dim^2)
+    stack, one Choi matrix per map, each checked for Hermiticity.
     """
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "Choi matrix").copy()
-        if m.shape[0] != self.dim * self.dim:
+        m = as_complex_stack(self.matrix, "Choi matrix").copy()
+        if m.shape[-1] != self.dim * self.dim:
             raise ValueError(
                 f"Choi matrix for dimension {self.dim} must be "
-                f"{self.dim * self.dim}x{self.dim * self.dim}, got {m.shape[0]}"
+                f"{self.dim * self.dim}x{self.dim * self.dim}, got {m.shape[-1]}"
             )
         defect = hermiticity_defect(m)
-        if not defect <= STRUCTURAL_TOL:
-            raise ValueError(f"Choi matrix is not Hermitian (defect {defect:.3e})")
+        bad = first_failure(defect <= STRUCTURAL_TOL)
+        if bad is not None:
+            raise ValueError(
+                f"{stack_member('Choi matrix', m, bad)} is not Hermitian "
+                f"(defect {defect.flat[bad]:.3e})"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
-def choi_of_any(kmap: KrausMap) -> np.ndarray:
-    """Choi matrix entries without the trace-preservation sanity check.
+def choi_of_any(kmap) -> np.ndarray:
+    """Choi matrix entries without the trace-preservation sanity check, for a
+    map or, as a (..., dim^2, dim^2) stack, for each map of a stack.
 
     With ``V[k]`` the column-major vectorization of ``K_k``, the Choi matrix
     is ``sum_k V[k] V[k]^dagger = V^T conj(V)``.
     """
-    v = kmap.stacked().swapaxes(1, 2).reshape(len(kmap.operators), -1)
-    return v.T @ v.conj()
+    stack = operator_stack(kmap)
+    v = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], -1)
+    return v.swapaxes(-1, -2) @ v.conj()
 
 
-def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
-    d = kmap.dim
-    choi = ChoiMatrix(choi_of_any(kmap), d)
-    if kmap.trace_preserving:
-        tr = float(np.trace(choi.matrix).real)
-        if not abs(tr - d) <= _CHOI_TRACE_TOL:
+def choi_matrix(kmap) -> ChoiMatrix:
+    """Checked Choi matrix of a map, or the stack of them of a stack of maps.
+
+    The trace of a trace-preserving map's Choi matrix must equal its
+    dimension; a bare operator stack is held to that check at every map.
+    """
+    stack = operator_stack(kmap)
+    d = stack.shape[-1]
+    choi = ChoiMatrix(choi_of_any(stack), d)
+    if not isinstance(kmap, KrausMap) or kmap.trace_preserving:
+        tr = np.trace(choi.matrix, axis1=-2, axis2=-1).real
+        bad = first_failure(np.abs(tr - d) <= _CHOI_TRACE_TOL)
+        if bad is not None:
             raise ValueError(
-                f"Choi trace of a trace-preserving map must be {d}, got {tr}"
+                f"Choi trace of a trace-preserving map must be {d}, got {tr.flat[bad]}"
+                + ("" if tr.ndim == 0 else f" (map {bad} of the stack)")
             )
     return choi
 
@@ -205,8 +255,14 @@ class CpVerdict(NamedTuple):
 
 
 def cp_verdict(choi: ChoiMatrix, tol: float = CP_EIG_TOL) -> CpVerdict:
-    """Complete positivity holds iff the Choi matrix is positive semidefinite."""
-    lo = float(np.linalg.eigvalsh(choi.matrix)[0])
+    """Complete positivity holds iff the Choi matrix is positive semidefinite.
+
+    A stack of Choi matrices gets one ``eigvalsh`` call and arrays of
+    verdicts and minimum eigenvalues.
+    """
+    lo = np.linalg.eigvalsh(choi.matrix)[..., 0]
+    if lo.ndim == 0:
+        lo = float(lo)
     return CpVerdict(lo >= -tol, lo)
 
 

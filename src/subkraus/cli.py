@@ -25,6 +25,7 @@ import numpy as np
 
 from . import casestudy, channels, reduction, verify
 from .channels import fmt17, matrix_json
+from .linalg import first_failure
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -32,6 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
 SWEEP_HEADER = "t,b0,b1,b2,b3,trace_defect,choi_min_eig,offdiag_B_max"
+# Grid points per batched pass of case-study; bounds its memory for any --steps.
+SWEEP_CHUNK = 1024
 
 
 def _read_text(path: str) -> str:
@@ -98,24 +101,33 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     rates = casestudy.DampingRates(args.gamma1, args.gamma2)
     rho2 = casestudy.qubit_state(args.a)
     split = reduction.Bipartition(2, 2)
+    ts = args.t_max * np.arange(args.steps) / (args.steps - 1)
     lines = [SWEEP_HEADER]
-    for step in range(args.steps):
-        t = args.t_max * step / (args.steps - 1)
-        kmap = casestudy.composite_kraus(t, rates)
+    for start in range(0, args.steps, SWEEP_CHUNK):
+        chunk = ts[start : start + SWEEP_CHUNK]
+        stacks = casestudy.composite_kraus_grid(chunk, rates)
         try:
-            result = reduction.reduce_subsystem(
-                kmap, split, rho2, keep=1, truncation=args.truncation
+            grid = reduction.reduce_subsystem_grid(
+                stacks, split, rho2, keep=1, truncation=args.truncation
             )
         except reduction.NonPositiveBMatrixError as exc:
-            raise _Diagnostic(f"at t={t}: {exc}") from exc
-        b = result.b.values
-        b_diag = [float(b[i, i].real) for i in range(4)]
-        trace_defect = abs(sum(b_diag) / 2.0 - 1.0)
-        off = b - np.diag(np.diag(b))
-        offdiag_max = float(np.abs(off).max())
-        verdict = channels.cp_verdict(channels.choi_matrix(result.subsystem_map))
-        row = [t, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max]
-        lines.append(",".join(fmt17(x) for x in row))
+            raise _Diagnostic(f"at t={chunk[exc.index]}: {exc}") from exc
+        defect = channels.completeness_defect(grid.operators)
+        bad = first_failure(defect <= channels.MODEL_TOL)
+        if bad is not None:
+            raise ValueError(
+                f"at t={chunk[bad]}: reduced operators violate the completeness "
+                f"condition (defect {defect[bad]:.3e} > {channels.MODEL_TOL:.1e})"
+            )
+        verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
+        b = grid.b
+        b0, b1, b2, b3 = b_diag = np.diagonal(b, axis1=-2, axis2=-1).real.T
+        trace_defect = np.abs((b0 + b1 + b2 + b3) / 2.0 - 1.0)
+        offdiag_max = np.abs(np.where(np.eye(4, dtype=bool), 0.0, b)).max(axis=(-2, -1))
+        rows = np.column_stack(
+            (chunk, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max)
+        )
+        lines.extend(",".join(map(fmt17, row)) for row in rows)
     Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Dense complex-matrix primitives.
 
 Tensor products, partial traces over either factor of a bipartite index,
-a deterministic Hermitian eigendecomposition, and Hamiltonian evolution
-unitaries. Everything here is a pure function over immutable values;
-inputs are never mutated.
+a deterministic Hermitian eigendecomposition (of one matrix or of a stack),
+Hamiltonian evolution unitaries, and the scalar and per-matrix checks shared
+by the input boundaries and gates of the other modules. Everything here is a
+pure function over immutable values; inputs are never mutated.
 
 The bipartite index convention is subsystem-1 major: the composite row
 index is ``i * d2 + k`` for subsystem-1 index ``i`` and subsystem-2
@@ -12,7 +13,10 @@ index ``k``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +34,47 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex square matrix or (..., n, n) stack of them."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(
+            f"{name} must be a square matrix or a stack of them, got shape {a.shape}"
+        )
+    return a
+
+
+def stack_member(name: str, a: np.ndarray, index: int) -> str:
+    """``name`` for a single matrix; ``name`` and the flat position of the
+    member for a stack, for messages of per-matrix gates."""
+    return name if a.ndim == 2 else f"{name} {index} of the stack"
+
+
+def nonnegative_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite, nonnegative real number.
+
+    Booleans are rejected although Python counts them as integers. The
+    message names the value as ``name``.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return float(value)
+
+
+def first_failure(ok: np.ndarray) -> Optional[int]:
+    """Flat index of the first False among per-matrix gate verdicts, or None.
+
+    Verdicts are written ``x <= tol``, so a NaN measurement counts as a
+    failure.
+    """
+    if ok.ndim == 0:
+        return None if ok else 0
+    i = int(ok.argmin())  # the first False, or 0 when all hold
+    return None if ok.flat[i] else i
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -39,8 +84,9 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max())
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return max_abs(m - dagger(m))
+def hermiticity_defect(m: np.ndarray):
+    """max |m - m^dagger| of a matrix, or of each matrix of a (..., n, n) stack."""
+    return np.abs(m - dagger(m)).max(axis=(-2, -1))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -74,11 +120,11 @@ def partial_trace(m, d1: int, d2: int, keep: int) -> np.ndarray:
 class EigenDecomposition:
     """Ascending eigenvalues with the matching eigenvector columns.
 
-    ``unitary[:, p]`` is the eigenvector for ``eigenvalues[p]``; the phase of
-    each column is fixed by making its largest-magnitude component (the
-    first, on ties) real and positive, and exact eigenvalue ties are ordered
-    by the first differing eigenvector component, so the output is
-    deterministic.
+    ``unitary[..., :, p]`` is the eigenvector for ``eigenvalues[..., p]``; the
+    phase of each column is fixed by making its largest-magnitude component
+    (the first, on ties) real and positive, and exact eigenvalue ties are
+    ordered by the first differing eigenvector component, so the output is
+    deterministic. For a stack of matrices both arrays carry its leading axes.
     """
 
     eigenvalues: np.ndarray
@@ -86,30 +132,49 @@ class EigenDecomposition:
 
 
 def hermitian_eig(h, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
+    """Diagonalize a Hermitian matrix, or each of a (..., n, n) stack, with
+    LAPACK ``eigh``.
 
     The phase and tie-order conventions of ``EigenDecomposition`` make the
-    output deterministic; an all-zero input returns the identity as its
-    eigenvectors.
+    output deterministic, and each matrix of a stack comes out exactly as it
+    would alone; an all-zero matrix returns the identity as its eigenvectors.
     """
-    a = as_complex_matrix(h, "h")
+    a = as_complex_stack(h, "h")
     defect = hermiticity_defect(a)
-    if not defect <= tol:
+    bad = first_failure(defect <= tol)
+    if bad is not None:
         raise ValueError(
-            f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e} > {tol:.1e}"
+            f"{stack_member('matrix', a, bad)} is not Hermitian: max |h - h^dagger| = "
+            f"{defect.flat[bad]:.3e} > {tol:.1e}"
         )
-    n = a.shape[0]
-    if not a.any():
-        return EigenDecomposition(np.zeros(n), np.eye(n, dtype=complex))
+    n = a.shape[-1]
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    pivot_at = (np.argmax(np.abs(v), axis=0), np.arange(n))
-    magnitudes = np.abs(v[pivot_at])
-    v = v * (v[pivot_at].conj() / magnitudes)
-    v[pivot_at] = magnitudes  # exactly real, not real up to rounding
+    # one flat batch axis b; index arrays (b, row, column) instead of
+    # take_along_axis, whose index building dominates at n = 4
+    w = w.reshape(-1, n)
+    v = v.reshape(-1, n, n)
+    batch = np.arange(len(w))[:, None]
+    cols = np.arange(n)
+    pivot = (batch, np.abs(v).argmax(axis=1), cols)
+    pivots = v[pivot]
+    magnitudes = np.abs(pivots)
+    v *= (pivots.conj() / magnitudes)[:, None, :]
+    v[pivot] = magnitudes  # exactly real, not real up to rounding
     # lexsort's last key is the primary one: w, then re/im of row 0, row 1, ...
-    components = np.stack((v.real, v.imag), axis=1).reshape(2 * n, n)
-    order = np.lexsort((*components[::-1], w))
-    return EigenDecomposition(w[order], v[:, order])
+    keys = np.empty((2 * n + 1, *w.shape))
+    keys[-1] = w
+    keys[-2::-2] = v.real.transpose(1, 0, 2)
+    keys[-3::-2] = v.imag.transpose(1, 0, 2)
+    order = np.lexsort(keys, axis=-1)
+    w = w[batch, order]
+    v = v[batch[:, :, None], cols[:, None], order[:, None, :]]
+    zero = ~a.any(axis=(-2, -1))
+    if zero.any():
+        w[zero.reshape(-1)] = 0.0
+        v[zero.reshape(-1)] = np.eye(n)
+    w = w.reshape(a.shape[:-1])
+    v = v.reshape(a.shape)
+    return EigenDecomposition(w, v)
 
 
 def evolution_unitary(h, t: float, tol: float = STRUCTURAL_TOL) -> np.ndarray:

@@ -12,6 +12,11 @@ preserving, and its Kraus operators can be computed exactly:
 3. diagonalize ``b``;
 4. assemble subsystem operators ``K_p = sqrt(b_p) sum_i u[i, p] g_i``.
 
+The pipeline is written once over a leading batch axis:
+:func:`reduce_subsystem_grid` reduces a whole (T, k, dim, dim) stack of maps,
+such as a model sampled on a time grid, with a fixed number of numpy calls,
+and :func:`reduce_subsystem` is the same code on a single map.
+
 The same machinery diagnoses when no state-independent reduced map exists:
 branch-wise reductions of separable (but correlated) preparations generally
 disagree, an equal-marginal probe exhibits marginal dynamics that depend on
@@ -21,21 +26,29 @@ operators all factorize into tensor products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .basis import OperatorBasis, build_hermitian_basis
-from .channels import DensityMatrix, KrausMap, channel_distance, apply_matrix
+from .channels import (
+    DensityMatrix,
+    KrausMap,
+    apply_matrix,
+    channel_distance,
+    operator_stack,
+)
 from .linalg import (
     STRUCTURAL_TOL,
-    as_complex_matrix,
+    as_complex_stack,
+    first_failure,
     hermitian_eig,
     hermiticity_defect,
     max_abs,
+    nonnegative_real,
     partial_trace,
+    stack_member,
 )
 
 # B eigenvalues below this are treated as a diagnostic failure rather than
@@ -51,11 +64,13 @@ class NonPositiveBMatrixError(RuntimeError):
 
     Signals a non-CP parent map or a traced-out factor that is not a valid
     state; with valid inputs the matrix is positive semidefinite by
-    construction.
+    construction. ``index`` is the first failing grid point of a grid
+    reduction, and None for a single map.
     """
 
-    def __init__(self, min_eigenvalue: float):
+    def __init__(self, min_eigenvalue: float, index: Optional[int] = None):
         self.min_eigenvalue = float(min_eigenvalue)
+        self.index = index
         super().__init__(
             f"mixing matrix has negative eigenvalue {self.min_eigenvalue:.6e}"
         )
@@ -69,8 +84,12 @@ class Bipartition:
     d2: int
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError(f"subsystem dimensions must be positive, got {self.d1}, {self.d2}")
+        for name in ("d1", "d2"):
+            d = getattr(self, name)
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+                raise ValueError(
+                    f"subsystem dimension {name} must be a positive integer, got {d!r}"
+                )
 
     @property
     def dim(self) -> int:
@@ -79,7 +98,8 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """Product-basis coefficients of a Kraus list, indexed [k][i][j]."""
+    """Product-basis coefficients of a Kraus list, indexed [k][i][j], or of
+    a stack of Kraus lists, indexed [..., k, i, j]."""
 
     values: np.ndarray
     d1: int
@@ -88,9 +108,9 @@ class CoefficientTensor:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex).copy()
         expected = (self.d1 * self.d1, self.d2 * self.d2)
-        if v.ndim != 3 or v.shape[1:] != expected:
+        if v.ndim < 3 or v.shape[-2:] != expected:
             raise ValueError(
-                f"coefficient tensor must have shape (k, {expected[0]}, {expected[1]}), "
+                f"coefficient tensor must have shape (..., k, {expected[0]}, {expected[1]}), "
                 f"got {v.shape}"
             )
         v.setflags(write=False)
@@ -98,31 +118,36 @@ class CoefficientTensor:
 
     @property
     def operator_count(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     def swapped(self) -> "CoefficientTensor":
         """Same coefficients with the subsystem roles exchanged."""
-        return CoefficientTensor(self.values.transpose(0, 2, 1), self.d2, self.d1)
+        return CoefficientTensor(self.values.swapaxes(-1, -2), self.d2, self.d1)
 
 
 @dataclass(frozen=True)
 class BMatrix:
-    """Hermitian mixing matrix b[i, i'] for one traced-out state."""
+    """Hermitian mixing matrix b[i, i'] for one traced-out state, or a
+    (..., n, n) stack of them, each checked for Hermiticity."""
 
     values: np.ndarray
     time_label: Optional[float] = None
 
     def __post_init__(self):
-        v = as_complex_matrix(self.values, "B matrix").copy()
+        v = as_complex_stack(self.values, "B matrix").copy()
         defect = hermiticity_defect(v)
-        if not defect <= STRUCTURAL_TOL:
-            raise ValueError(f"B matrix is not Hermitian (defect {defect:.3e})")
+        bad = first_failure(defect <= STRUCTURAL_TOL)
+        if bad is not None:
+            raise ValueError(
+                f"{stack_member('B matrix', v, bad)} is not Hermitian "
+                f"(defect {defect.flat[bad]:.3e})"
+            )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -145,6 +170,28 @@ class ReductionResult:
     @property
     def truncated_count(self) -> int:
         return len(self.eigenvalues) - len(self.subsystem_map.operators)
+
+
+@dataclass(frozen=True)
+class GridReduction:
+    """Subsystem reductions of a stack of T maps, one per grid point.
+
+    ``b`` is (T, n, n); ``eigenvalues`` (T, n) are descending and clamped at
+    zero, with ``mixing[t, :, p]`` the matching eigenvectors; ``operators``
+    (T, n, d, d) holds every assembled operator, the truncated ones zeroed,
+    and ``kept`` (T, n) marks the operators that survived truncation. All
+    arrays are read-only.
+    """
+
+    b: np.ndarray
+    eigenvalues: np.ndarray
+    mixing: np.ndarray
+    operators: np.ndarray
+    kept: np.ndarray
+
+    def __post_init__(self):
+        for name in ("b", "eigenvalues", "mixing", "operators", "kept"):
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -190,15 +237,18 @@ class OperatorFactorization:
 
 
 def c_coefficients(
-    kmap: KrausMap,
+    kmap,
     split: Bipartition,
     basis1: OperatorBasis,
     basis2: OperatorBasis,
 ) -> CoefficientTensor:
-    """c[k, i, j] = tr(K_k (g_i (x) h_j)) for each composite operator."""
-    if kmap.dim != split.dim:
+    """c[..., k, i, j] = tr(K_k (g_i (x) h_j)) for each composite operator of
+    a ``KrausMap`` or of a (..., k, dim, dim) stack of maps."""
+    stack = operator_stack(kmap)
+    if stack.shape[-1] != split.dim:
         raise ValueError(
-            f"dimension mismatch: map is {kmap.dim}-dimensional, split gives {split.dim}"
+            f"dimension mismatch: map is {stack.shape[-1]}-dimensional, "
+            f"split gives {split.dim}"
         )
     if basis1.dim != split.d1 or basis2.dim != split.d2:
         raise ValueError(
@@ -206,9 +256,9 @@ def c_coefficients(
             f"bipartition ({split.d1}, {split.d2})"
         )
     d1, d2 = split.d1, split.d2
-    stack = kmap.stacked().reshape(-1, d1, d2, d1, d2)
+    blocks = stack.reshape(*stack.shape[:-2], d1, d2, d1, d2)
     values = np.einsum(
-        "kabcd,ica,jdb->kij", stack, basis1.stacked(), basis2.stacked()
+        "...kabcd,ica,jdb->...kij", blocks, basis1.stacked(), basis2.stacked()
     )
     return CoefficientTensor(values, d1, d2)
 
@@ -222,7 +272,8 @@ def b_matrix(
     """Contract coefficients with the traced-out state.
 
     Uses the operator intermediates D_ki = sum_j c[k,i,j] h_j, so that
-    b[i, i'] = sum_k tr(D_ki rho2 D_ki'^dagger).
+    b[i, i'] = sum_k tr(D_ki rho2 D_ki'^dagger); a stack of coefficient
+    tensors gives the stack of mixing matrices.
     """
     if basis2.dim != coeffs.d2:
         raise ValueError(
@@ -232,9 +283,49 @@ def b_matrix(
         raise ValueError(
             f"state dimension {rho2.dim} does not match coefficient d2 = {coeffs.d2}"
         )
-    d_ops = np.einsum("kij,jab->kiab", coeffs.values, basis2.stacked())
-    values = np.einsum("kiab,bc,kjac->ij", d_ops, rho2.matrix, d_ops.conj())
+    d_ops = np.einsum("...kij,jab->...kiab", coeffs.values, basis2.stacked())
+    values = np.einsum("...kiab,bc,...kjac->...ij", d_ops, rho2.matrix, d_ops.conj())
     return BMatrix(values, time_label)
+
+
+def _reduce(stack, split, rho_other, keep, truncation):
+    """The reduction pipeline over the leading axes of a (..., k, dim, dim)
+    operator stack; every output carries those axes, and every gate holds at
+    each map of the stack."""
+    if keep not in (1, 2):
+        raise ValueError(f"keep must be 1 or 2, got {keep}")
+    truncation = nonnegative_real(truncation, "truncation")
+    basis1 = build_hermitian_basis(split.d1)
+    basis2 = build_hermitian_basis(split.d2)
+    coeffs = c_coefficients(stack, split, basis1, basis2)
+    if keep == 1:
+        own_basis, traced_basis = basis1, basis2
+    else:
+        coeffs = coeffs.swapped()
+        own_basis, traced_basis = basis2, basis1
+    if rho_other.dim != traced_basis.dim:
+        raise ValueError(
+            f"rho_other has dimension {rho_other.dim}, expected {traced_basis.dim}"
+        )
+    b = b_matrix(coeffs, rho_other, traced_basis)
+    eig = hermitian_eig(b.values)
+    lowest = eig.eigenvalues[..., 0]
+    bad = first_failure(lowest >= -B_EIG_DIAGNOSTIC_TOL)
+    if bad is not None:
+        raise NonPositiveBMatrixError(lowest.flat[bad], None if lowest.ndim == 0 else bad)
+    eigenvalues = np.clip(eig.eigenvalues[..., ::-1], 0.0, None)
+    mixing = eig.unitary[..., ::-1]
+    largest = eigenvalues[..., :1]
+    bad = first_failure(largest > 0.0)
+    if bad is not None:
+        where = "" if largest.ndim == 1 else f" at grid point {bad}"
+        raise ValueError(f"mixing matrix is zero{where}; the parent map has no action")
+    kept = eigenvalues >= truncation * largest
+    weighted = mixing * np.sqrt(np.where(kept, eigenvalues, 0.0))[..., None, :]
+    d = own_basis.dim
+    operators = weighted.swapaxes(-1, -2) @ own_basis.stacked().reshape(d * d, d * d)
+    operators = operators.reshape(*operators.shape[:-1], d, d)
+    return coeffs, b, eigenvalues, mixing, operators, kept
 
 
 def reduce_subsystem(
@@ -252,38 +343,38 @@ def reduce_subsystem(
     dropped together with their (numerically zero) operators. ``keep=2`` runs
     the mirrored computation by swapping the coefficient indices.
     """
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
-    if not 0.0 <= truncation < math.inf:
-        raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
-    basis1 = build_hermitian_basis(split.d1)
-    basis2 = build_hermitian_basis(split.d2)
-    coeffs = c_coefficients(kmap, split, basis1, basis2)
-    if keep == 1:
-        own_basis, traced_basis = basis1, basis2
-    else:
-        coeffs = coeffs.swapped()
-        own_basis, traced_basis = basis2, basis1
-    if rho_other.dim != traced_basis.dim:
-        raise ValueError(
-            f"rho_other has dimension {rho_other.dim}, expected {traced_basis.dim}"
-        )
-    b = b_matrix(coeffs, rho_other, traced_basis)
-    eig = hermitian_eig(b.values)
-    if eig.eigenvalues[0] < -B_EIG_DIAGNOSTIC_TOL:
-        raise NonPositiveBMatrixError(eig.eigenvalues[0])
-    eigenvalues = np.clip(eig.eigenvalues[::-1], 0.0, None)
-    mixing = eig.unitary[:, ::-1]
-    largest = eigenvalues[0]
-    if largest == 0.0:
-        raise ValueError("mixing matrix is zero; the parent map has no action")
-    kept = eigenvalues >= truncation * largest
-    weighted = mixing[:, kept] * np.sqrt(eigenvalues[kept])
-    operators = np.tensordot(weighted, own_basis.stacked(), axes=(0, 0))
+    coeffs, b, eigenvalues, mixing, operators, kept = _reduce(
+        kmap.stacked(), split, rho_other, keep, truncation
+    )
     subsystem_map = KrausMap(
-        own_basis.dim, operators, trace_preserving=kmap.trace_preserving
+        operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
     )
     return ReductionResult(coeffs, b, eigenvalues, mixing, subsystem_map)
+
+
+def reduce_subsystem_grid(
+    stacks,
+    split: Bipartition,
+    rho_other: DensityMatrix,
+    keep: int = 1,
+    truncation: float = DEFAULT_TRUNCATION,
+) -> GridReduction:
+    """:func:`reduce_subsystem` of every map of a (T, k, dim, dim) stack, in
+    one pass of stacked numpy calls.
+
+    Each grid point is reduced exactly as a single map would be and meets
+    the same gates; a negative mixing-matrix eigenvalue raises
+    ``NonPositiveBMatrixError`` whose ``index`` is the first failing point.
+    Completeness of the reduced operators is not checked here, since a bare
+    stack carries no trace-preservation flag.
+    """
+    stack = operator_stack(stacks)
+    if stack.ndim != 4:
+        raise ValueError(f"stacks must be (T, k, dim, dim), got shape {stack.shape}")
+    _, b, eigenvalues, mixing, operators, kept = _reduce(
+        stack, split, rho_other, keep, truncation
+    )
+    return GridReduction(b.values, eigenvalues, mixing, operators, kept)
 
 
 def reduce_separable_ensemble(

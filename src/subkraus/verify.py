@@ -210,37 +210,34 @@ def check_mapfile_roundtrip(seed: int = 17) -> CheckResult:
 _GRID_RATES = casestudy.DampingRates(0.7, 0.4)
 
 
+def _grid_times(points: int) -> np.ndarray:
+    """Times tau / (gamma1 + gamma2) for tau on [0, 1]."""
+    return np.linspace(0.0, 1.0, points) / (_GRID_RATES.gamma1 + _GRID_RATES.gamma2)
+
+
 def check_composite_completeness() -> CheckResult:
-    rates = _GRID_RATES
-    total = rates.gamma1 + rates.gamma2
-    worst = 0.0
-    for tau in np.linspace(0.0, 1.0, 100):
-        kmap = casestudy.composite_kraus(tau / total, rates)
-        worst = max(worst, channels.completeness_defect(kmap))
+    stacks = casestudy.composite_kraus_grid(_grid_times(100), _GRID_RATES)
+    worst = float(channels.completeness_defect(stacks).max())
     return CheckResult("composite completeness over tau grid", "model", worst < 1e-8, worst, 1e-8)
 
 
 def check_algorithm_vs_closed_form() -> CheckResult:
     rates = _GRID_RATES
-    total = rates.gamma1 + rates.gamma2
     split = reduction.Bipartition(2, 2)
+    ts = _grid_times(25)
+    stacks = casestudy.composite_kraus_grid(ts, rates)
     worst_b = 0.0
     worst_off = 0.0
     worst_dist = 0.0
-    for tau in np.linspace(0.0, 1.0, 25):
-        t = tau / total
-        kmap = casestudy.composite_kraus(t, rates)
-        for a in (0.0, 0.3, 1.0):
-            result = reduction.reduce_subsystem(kmap, split, casestudy.qubit_state(a))
-            b = result.b.values
-            expected = casestudy.closed_form_b(t, rates, a)
-            worst_b = max(
-                worst_b, max(abs(b[i, i].real - expected[i]) for i in range(4))
-            )
-            worst_off = max(worst_off, linalg.max_abs(b - np.diag(np.diag(b))))
+    for a in (0.0, 0.3, 1.0):
+        grid = reduction.reduce_subsystem_grid(stacks, split, casestudy.qubit_state(a))
+        diag = np.diagonal(grid.b, axis1=-2, axis2=-1).real
+        worst_off = max(worst_off, linalg.max_abs(grid.b - diag[..., None] * np.eye(4)))
+        for t, b, ops in zip(ts, diag, grid.operators):
+            worst_b = max(worst_b, np.abs(b - casestudy.closed_form_b(t, rates, a)).max())
             closed = casestudy.closed_form_subsystem_map(t, rates, a)
             worst_dist = max(
-                worst_dist, channels.channel_distance(result.subsystem_map, closed)
+                worst_dist, channels.channel_distance(channels.KrausMap(2, ops), closed)
             )
     passed = worst_b < 1e-10 and worst_off < 1e-12 and worst_dist < 1e-10
     note = f"offdiag={worst_off:.2e} dist={worst_dist:.2e}"
@@ -262,15 +259,12 @@ def check_identity_limit() -> CheckResult:
 
 
 def check_reduced_cp_on_grid() -> CheckResult:
-    rates = _GRID_RATES
-    total = rates.gamma1 + rates.gamma2
-    split = reduction.Bipartition(2, 2)
-    worst = 0.0
-    for tau in np.linspace(0.0, 1.0, 25):
-        kmap = casestudy.composite_kraus(tau / total, rates)
-        result = reduction.reduce_subsystem(kmap, split, casestudy.qubit_state(0.3))
-        verdict = channels.cp_verdict(channels.choi_matrix(result.subsystem_map))
-        worst = min(worst, verdict.min_eigenvalue)
+    stacks = casestudy.composite_kraus_grid(_grid_times(25), _GRID_RATES)
+    grid = reduction.reduce_subsystem_grid(
+        stacks, reduction.Bipartition(2, 2), casestudy.qubit_state(0.3)
+    )
+    verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
+    worst = min(0.0, float(verdict.min_eigenvalue.min()))
     return CheckResult("reduced map CP on grid", "model", worst >= -1e-10, worst, -1e-10)
 
 

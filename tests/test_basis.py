@@ -126,3 +126,16 @@ def test_basis_storage_is_one_read_only_stack():
         bas.elements[1][0, 0] = 5.0
     with pytest.raises(ValueError):
         bas.stacked()[0, 0, 0] = 5.0
+
+
+def test_basis_equality_and_hashing():
+    built = build_hermitian_basis(2)
+    rebuilt = OperatorBasis(2, tuple(built.elements))
+    assert rebuilt is not built and rebuilt == built
+    v = np.array([[0, 1], [1, 0]], dtype=complex)
+    rotated = OperatorBasis(2, tuple(v @ g @ v for g in built.elements))
+    assert rotated != built
+    assert build_hermitian_basis(3) != built
+    assert built != "basis"
+    with pytest.raises(TypeError):
+        hash(built)

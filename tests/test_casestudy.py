@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_reduced_state, rng_from
+from subkraus import casestudy
 from subkraus.casestudy import (
     DampingRates,
+    ModelInconsistencyError,
     ModelParams,
     bose_occupation,
     closed_form_b,
     closed_form_subsystem_map,
     composite_hamiltonian,
     composite_kraus,
+    composite_kraus_grid,
     damping_rates,
     ohmic_spectral_density,
     qubit_state,
@@ -84,6 +87,17 @@ class TestDampingRates:
         good = dict(omega=1.0, beta=0.2, temperature=10.0, alpha=0.01, nu_c=5.0)
         with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
             ModelParams(**{**good, field: bad})
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_mistyped_inputs_name_the_field(self, bad):
+        with pytest.raises(ValueError, match="damping rate gamma1 must be a real number"):
+            DampingRates(bad, 0.5)
+        with pytest.raises(ValueError, match="damping rate gamma2 must be a real number"):
+            DampingRates(0.5, bad)
+        with pytest.raises(ValueError, match="time t must be a real number"):
+            composite_kraus(bad, DampingRates(0.3, 1.0))
+        with pytest.raises(ValueError, match="time t must be a real number"):
+            closed_form_b(bad, DampingRates(0.3, 1.0), 0.3)
 
     def test_model_params_nu_max(self):
         good = dict(omega=1.0, beta=0.2, temperature=10.0, alpha=0.01, nu_c=5.0)
@@ -174,6 +188,76 @@ class TestCompositeKraus:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             composite_kraus(-0.1, DampingRates(0.3, 1.0))
+
+
+class TestCompositeKrausGrid:
+    def test_each_point_equals_composite_kraus(self):
+        rates = DampingRates(0.3, 1.0)
+        ts = np.linspace(0.0, 3.0, 31)
+        grid = composite_kraus_grid(ts, rates)
+        assert grid.shape == (31, 8, 4, 4)
+        for t, ops in zip(ts, grid):
+            np.testing.assert_array_equal(ops, composite_kraus(float(t), rates).stacked())
+
+    def test_read_only(self):
+        grid = composite_kraus_grid([0.1], DampingRates(0.3, 1.0))
+        with pytest.raises(ValueError):
+            grid[0, 0, 0, 0] = 1.0
+
+    def test_decohered_limit(self):
+        # every exponential underflows to zero: the branch where the coherence
+        # Gram matrix is a multiple of the identity
+        kmap = composite_kraus(1e4, DampingRates(0.3, 1.0))
+        np.testing.assert_allclose(np.diag(kmap.operators[6]).real, [0, 0.5, 0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(np.diag(kmap.operators[7]).real, [-0.5, 0, -0.5, 0], atol=1e-15)
+        assert completeness_defect(kmap) < 1e-15
+
+    @pytest.mark.parametrize("g1,g2", [(0.7, 0.4), (1.0, 1.0), (0.1, 2.0), (2.0, 0.1), (0.0, 1.0)])
+    def test_complete_at_large_times(self, g1, g2):
+        # once exp(-8 (gamma1 + gamma2) t) drops below 1e-154 its square
+        # underflows, and below 1e-308 it is subnormal; the diagonal sector
+        # must stay normalized through both
+        ts = np.concatenate((np.linspace(0.0, 200.0, 2001), np.geomspace(1e-3, 1e300, 301)))
+        defects = completeness_defect(composite_kraus_grid(ts, DampingRates(g1, g2)))
+        assert defects.max() < 1e-14
+
+    def test_diagonal_sector_without_cancellation(self):
+        # at gamma1 < gamma2 the lam_plus eigenvector's textbook form cancels
+        # catastrophically; there its component ratio is eps / delta to
+        # relative order (eps / delta)^2
+        kmap = composite_kraus(2.0, DampingRates(0.5, 1.5))
+        x1, x2 = math.exp(-16.0), math.exp(-48.0)
+        eps = math.exp(-32.0)
+        ratio = eps / (((1 + x1) ** 2 - (1 + x2) ** 2) / 4)  # second / first component
+        k8 = np.diag(kmap.operators[7]).real
+        assert k8[1] / k8[0] == pytest.approx(ratio, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "ts,message",
+        [
+            ([0.0, 0.1, np.nan], r"got nan \(ts\[2\]\)"),
+            ([0.0, -0.5], r"got -0.5 \(ts\[1\]\)"),
+            ([0.0, np.inf], r"got inf \(ts\[1\]\)"),
+            (np.array([True, False]), "real numbers"),
+            (["0.1"], "real numbers"),
+            ([[0.1]], "1-D"),
+        ],
+    )
+    def test_bad_times_name_the_point(self, ts, message):
+        with pytest.raises(ValueError, match=message):
+            composite_kraus_grid(ts, DampingRates(0.3, 1.0))
+
+    def test_discriminant_gate_names_a_later_point(self, monkeypatch):
+        # a negative floor demands a strictly positive smaller eigenvalue,
+        # which fails only at t = 0, here the last grid point
+        monkeypatch.setattr(casestudy, "_DISCRIMINANT_TOL", -1e-3)
+        with pytest.raises(ModelInconsistencyError, match="positivity at t=0.0 "):
+            composite_kraus_grid([0.4, 0.2, 0.0], DampingRates(0.3, 1.0))
+
+    def test_completeness_gate_names_a_later_point(self, monkeypatch):
+        monkeypatch.setattr(casestudy, "MODEL_TOL", 0.0)
+        with pytest.raises(ValueError, match="completeness condition at t=0.05 "):
+            composite_kraus_grid([0.0, 0.05, 0.3], DampingRates(0.3, 1.0))
 
 
 class TestClosedForms:

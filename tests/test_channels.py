@@ -59,6 +59,12 @@ class TestDensityMatrix:
         rho = pure_state([2.0, 0.0])
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308])
+    def test_pure_state_survives_extreme_amplitudes(self, scale):
+        # the norm of these vectors overflows or underflows in double precision
+        rho = pure_state([scale, scale])
+        np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pure_state_names_non_finite_amplitude(self, bad):
         with pytest.raises(ValueError, match=r"amplitudes\[1\] must be finite"):
@@ -116,6 +122,24 @@ class TestKrausMap:
         assert len(kmap.operators) == 4
         np.testing.assert_array_equal(kmap.stacked(), stack)
         assert completeness_defect(kmap) < 1e-15
+
+    def test_equality_compares_dimension_flag_and_operators(self):
+        ident = KrausMap(2, [np.eye(2)])
+        assert ident == KrausMap(2, [np.eye(2)])
+        assert not ident != KrausMap(2, np.eye(2)[None])
+        assert ident != KrausMap(2, [-np.eye(2)])
+        assert ident != KrausMap(2, [np.eye(2)], trace_preserving=False)
+        assert ident != KrausMap(2, [np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)])
+        assert ident != KrausMap(3, [np.eye(3)])
+
+    def test_comparison_with_a_non_map_is_false(self):
+        ident = KrausMap(2, [np.eye(2)])
+        assert ident != "identity"
+        assert not ident == None  # noqa: E711
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(KrausMap(2, [np.eye(2)]))
 
 
 class TestApplyMap:
@@ -333,6 +357,34 @@ def test_apply_matrix_is_linear_action():
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     direct = sum(op @ m @ op.conj().T for op in kmap.operators)
     np.testing.assert_allclose(apply_matrix(kmap, m), direct, atol=1e-14)
+
+
+def test_stack_functions_match_per_map_calls():
+    rng = rng_from(41)
+    maps = [random_tp_kraus(rng, 2, 3) for _ in range(4)]
+    stack = np.array([m.stacked() for m in maps])
+    defects = completeness_defect(stack)
+    chois = choi_matrix(stack)
+    verdicts = cp_verdict(chois)
+    assert defects.shape == (4,) and chois.matrix.shape == (4, 4, 4)
+    for i, kmap in enumerate(maps):
+        assert defects[i] == completeness_defect(kmap)
+        np.testing.assert_array_equal(chois.matrix[i], choi_matrix(kmap).matrix)
+        one = cp_verdict(choi_matrix(kmap))
+        assert verdicts.min_eigenvalue[i] == pytest.approx(one.min_eigenvalue, abs=1e-15)
+        assert verdicts.is_cp[i] == one.is_cp
+
+
+def test_stack_gates_name_the_failing_map():
+    rng = rng_from(42)
+    stack = np.array([random_tp_kraus(rng, 2, 2).stacked() for _ in range(3)])
+    stack[1] *= 1.1  # breaks the Choi trace of map 1 only
+    with pytest.raises(ValueError, match="map 1 of the stack"):
+        choi_matrix(stack)
+    stack[2, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="Choi matrix 2 of the stack is not Hermitian"):
+        ChoiMatrix(choi_of_any(stack), 2)
+    assert np.isnan(completeness_defect(stack)[2])
 
 
 @given(seeds)

@@ -1,19 +1,27 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tp_kraus, rng_from
-from subkraus import cli
+from subkraus import casestudy, cli
 from subkraus.casestudy import DampingRates, closed_form_b, composite_kraus, qubit_state
 from subkraus.channels import (
+    DensityMatrix,
     KrausMap,
+    choi_matrix,
     completeness_defect,
+    cp_verdict,
     dump_density_json,
     dump_map_json,
     load_map_json,
     maximally_mixed,
 )
+from subkraus.reduction import Bipartition, NonPositiveBMatrixError, reduce_subsystem
 
 
 @pytest.fixture
@@ -149,12 +157,104 @@ class TestCaseStudySweep:
         code, _ = self.run_sweep(tmp_path, steps="1")
         assert code == 2
 
+    def test_chunk_size_does_not_change_bytes(self, tmp_path, monkeypatch):
+        whole = [self.run_sweep(tmp_path, f"whole{steps}.csv", str(steps)) for steps in (22, 23)]
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 7)  # 22 and 23 points leave tails of 1 and 2
+        for steps, (code, out) in zip((22, 23), whole):
+            code7, out7 = self.run_sweep(tmp_path, f"chunked{steps}.csv", str(steps))
+            assert code == code7 == 0
+            assert out.read_bytes() == out7.read_bytes()
+
+    def test_negative_b_at_a_later_point_names_t(self, tmp_path, monkeypatch, capsys):
+        # a traced factor that is not a state, built by bypassing validation
+        bad = object.__new__(DensityMatrix)
+        object.__setattr__(bad, "matrix", np.diag([-0.5, 1.5]).astype(complex))
+        monkeypatch.setattr(casestudy, "qubit_state", lambda a: bad)
+        ts = [0.4 * step / 10 for step in range(11)]
+        first_bad = None
+        for t in ts:
+            try:
+                reduce_subsystem(composite_kraus(t, DampingRates(1.0, 0.1)), Bipartition(2, 2), bad)
+            except NonPositiveBMatrixError:
+                first_bad = t
+                break
+        assert first_bad is not None and first_bad > 0.0
+        out = tmp_path / "x.csv"
+        assert cli.main([
+            "case-study", "--gamma1", "1.0", "--gamma2", "0.1", "--a", "0.3",
+            "--t-max", "0.4", "--steps", "11", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"at t={first_bad}: mixing matrix has negative eigenvalue" in err
+        assert not out.exists()
+
+    def test_broken_discriminant_at_a_later_point_names_t(self, tmp_path, monkeypatch, capsys):
+        hypot = np.hypot
+
+        def inflated_from_point_3(x, y):
+            r = hypot(x, y)
+            r[3:] *= 10.0  # pushes the smaller Gram eigenvalue far below zero
+            return r
+
+        monkeypatch.setattr(np, "hypot", inflated_from_point_3)
+        out = tmp_path / "x.csv"
+        assert cli.main([
+            "case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "0.3",
+            "--t-max", "0.5", "--steps", "6", "--out", str(out),
+        ]) == 3
+        assert "coherence sector lost positivity at t=0.3 " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_long_sweep_stays_valid(self, tmp_path):
+        # past gamma t ~ 40 the coherence terms leave the normal float range;
+        # every row must still pass the completeness and Choi trace gates
+        out = tmp_path / "long.csv"
+        assert cli.main([
+            "case-study", "--gamma1", "0.7", "--gamma2", "0.4", "--a", "0.0",
+            "--t-max", "50", "--steps", "1001", "--out", str(out),
+        ]) == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert max(row[5] for row in rows) < 1e-12
+        assert min(row[6] for row in rows) >= -1e-10
+
     def test_bad_population_exits_2(self, tmp_path):
         code = cli.main([
             "case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "1.5",
             "--t-max", "1.0", "--steps", "5", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+
+def per_point_row(t, rates, a):
+    """One CSV row computed point by point through the single-map API."""
+    result = reduce_subsystem(composite_kraus(t, rates), Bipartition(2, 2), qubit_state(a))
+    b = result.b.values
+    diag = [float(b[i, i].real) for i in range(4)]
+    verdict = cp_verdict(choi_matrix(result.subsystem_map))
+    offdiag = float(np.abs(b - np.diag(np.diag(b))).max())
+    return [t, *diag, abs(sum(diag) / 2.0 - 1.0), verdict.min_eigenvalue, offdiag]
+
+
+@given(
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+    st.floats(0.01, 2.0), st.integers(2, 40),
+)
+@settings(max_examples=25, deadline=None)
+def test_sweep_rows_equal_the_per_point_pipeline(gamma1, gamma2, a, t_max, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        assert cli.main([
+            "case-study", "--gamma1", repr(gamma1), "--gamma2", repr(gamma2), "--a", repr(a),
+            "--t-max", repr(t_max), "--steps", str(steps), "--out", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()[1:]
+    assert len(lines) == steps
+    rates = DampingRates(gamma1, gamma2)
+    for step, line in enumerate(lines):
+        row = [float(x) for x in line.split(",")]
+        t = t_max * step / (steps - 1)
+        assert row[0] == t
+        np.testing.assert_allclose(row, per_point_row(t, rates, a), rtol=0, atol=1e-14)
 
 
 class TestVerify:

@@ -176,3 +176,52 @@ class TestEvolutionUnitary:
         h = random_hermitian(rng, 3)
         u = evolution_unitary(h, float(rng.uniform(0, 2)))
         assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
+
+
+class TestStackedHermitianEig:
+    def stack(self):
+        rng = rng_from(31)
+        mats = [random_hermitian(rng, 4) for _ in range(5)]
+        mats.append(np.diag([2.0, 0.5, 0.5, 0.0]).astype(complex))  # the model's b1 == b2 tie
+        mats.append(np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex))
+        mats.append(np.zeros((4, 4), dtype=complex))
+        mats.append(np.kron(SIGMA[1], SIGMA[1]))  # exact ties with non-unit eigenvectors
+        return np.array(mats)
+
+    def test_each_member_equals_the_single_call(self):
+        stack = self.stack()
+        eig = hermitian_eig(stack)
+        assert eig.eigenvalues.shape == (len(stack), 4)
+        assert eig.unitary.shape == stack.shape
+        for i, h in enumerate(stack):
+            one = hermitian_eig(h)
+            np.testing.assert_array_equal(eig.eigenvalues[i], one.eigenvalues)
+            np.testing.assert_array_equal(eig.unitary[i], one.unitary)
+
+    def test_leading_axes_are_kept(self):
+        stack = self.stack()[:8].reshape(2, 4, 4, 4)
+        eig = hermitian_eig(stack)
+        flat = hermitian_eig(stack.reshape(8, 4, 4))
+        np.testing.assert_array_equal(eig.unitary.reshape(8, 4, 4), flat.unitary)
+        np.testing.assert_array_equal(eig.eigenvalues.reshape(8, 4), flat.eigenvalues)
+
+    def test_zero_member(self):
+        eig = hermitian_eig(self.stack())
+        np.testing.assert_array_equal(eig.eigenvalues[7], np.zeros(4))
+        np.testing.assert_array_equal(eig.unitary[7], np.eye(4))
+
+    def test_nan_member_rejected_by_position(self):
+        stack = self.stack()
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="matrix 2 of the stack is not Hermitian"):
+            hermitian_eig(stack)
+
+    def test_non_hermitian_member_rejected_by_position(self):
+        stack = self.stack()
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="matrix 4 of the stack"):
+            hermitian_eig(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.zeros((3, 2, 4)))

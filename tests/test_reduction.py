@@ -13,7 +13,12 @@ from helpers import (
     rng_from,
 )
 from subkraus.basis import build_hermitian_basis
-from subkraus.casestudy import DampingRates, composite_kraus, qubit_state
+from subkraus.casestudy import (
+    DampingRates,
+    composite_kraus,
+    composite_kraus_grid,
+    qubit_state,
+)
 from subkraus.channels import (
     DensityMatrix,
     KrausMap,
@@ -26,6 +31,7 @@ from subkraus.linalg import tensor_product
 from subkraus.reduction import (
     Bipartition,
     CoefficientTensor,
+    GridReduction,
     NonPositiveBMatrixError,
     SeparableEnsemble,
     b_matrix,
@@ -34,6 +40,7 @@ from subkraus.reduction import (
     factorization_check,
     reduce_separable_ensemble,
     reduce_subsystem,
+    reduce_subsystem_grid,
     reduced_domain_verdict,
 )
 
@@ -161,7 +168,7 @@ class TestReduceSubsystem:
         closed = closed_form_subsystem_map(t, rates, a)
         assert channel_distance(result.subsystem_map, closed) < 1e-10
 
-    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, True, "1e-12"])
     def test_bad_truncation_rejected(self, bad):
         kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
         with pytest.raises(ValueError, match="truncation"):
@@ -427,3 +434,89 @@ def test_coefficient_tensor_swap():
     tensor = CoefficientTensor(values, 2, 2)
     swapped = tensor.swapped()
     np.testing.assert_array_equal(swapped.values, values.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "d1,d2,field",
+    [(True, True, "d1"), (2.0, 2, "d1"), (2, False, "d2"), (2, 0, "d2"), (2, "3", "d2")],
+)
+def test_bipartition_rejects_mistyped_dimensions(d1, d2, field):
+    with pytest.raises(ValueError, match=f"subsystem dimension {field} must be a positive integer"):
+        Bipartition(d1, d2)
+
+
+def test_bipartition_accepts_numpy_integers():
+    assert Bipartition(np.int64(2), 3).dim == 6
+
+
+def not_a_state():
+    """A traced factor that is not a state; bypasses DensityMatrix validation."""
+    bad = object.__new__(DensityMatrix)
+    object.__setattr__(bad, "matrix", np.diag([-0.5, 1.5]).astype(complex))
+    return bad
+
+
+class TestGridReduction:
+    def test_record_shapes_and_read_only(self):
+        stacks = composite_kraus_grid(np.linspace(0.0, 0.5, 6), DampingRates(0.3, 1.0))
+        grid = reduce_subsystem_grid(stacks, SPLIT22, qubit_state(0.3))
+        assert isinstance(grid, GridReduction)
+        assert grid.b.shape == (6, 4, 4) and grid.eigenvalues.shape == (6, 4)
+        assert grid.mixing.shape == (6, 4, 4) and grid.operators.shape == (6, 4, 2, 2)
+        assert grid.kept.shape == (6, 4) and grid.kept.dtype == bool
+        for name in ("b", "eigenvalues", "mixing", "operators", "kept"):
+            with pytest.raises(ValueError):
+                getattr(grid, name)[0, 0] = 0
+
+    @given(seeds, st.sampled_from([1, 2]))
+    @settings(max_examples=15)
+    def test_each_point_equals_reduce_subsystem(self, seed, keep):
+        rng = rng_from(seed)
+        maps = [random_tp_kraus(rng, 4, 3) for _ in range(3)]
+        rho = random_density(rng, 2)
+        grid = reduce_subsystem_grid(np.array([m.stacked() for m in maps]), SPLIT22, rho, keep=keep)
+        for i, kmap in enumerate(maps):
+            one = reduce_subsystem(kmap, SPLIT22, rho, keep=keep)
+            np.testing.assert_allclose(grid.b[i], one.b.values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grid.eigenvalues[i], one.eigenvalues, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grid.mixing[i], one.mixing, rtol=0, atol=1e-14)
+            ops = grid.operators[i][grid.kept[i]]
+            np.testing.assert_allclose(ops, one.subsystem_map.stacked(), rtol=0, atol=1e-14)
+
+    def test_truncated_operators_are_zeroed(self):
+        stacks = composite_kraus_grid([0.0, 0.2], DampingRates(0.3, 1.0))
+        grid = reduce_subsystem_grid(stacks, SPLIT22, qubit_state(0.7))
+        np.testing.assert_array_equal(grid.kept[0], [True, False, False, False])
+        assert np.all(grid.operators[0, 1:] == 0.0)
+        assert grid.kept[1].all()
+
+    def test_negative_b_names_the_grid_point(self):
+        ts = [0.0, 0.0, 0.1, 0.2]
+        stacks = composite_kraus_grid(ts, DampingRates(1.0, 0.1))
+        with pytest.raises(NonPositiveBMatrixError) as err:
+            reduce_subsystem_grid(stacks, SPLIT22, not_a_state())
+        assert err.value.index == 2
+        kmap = composite_kraus(0.1, DampingRates(1.0, 0.1))
+        with pytest.raises(NonPositiveBMatrixError) as single:
+            reduce_subsystem(kmap, SPLIT22, not_a_state())
+        assert single.value.index is None
+        assert err.value.min_eigenvalue == pytest.approx(single.value.min_eigenvalue, abs=1e-15)
+
+    def test_nan_in_stack_rejected(self):
+        stacks = np.array(composite_kraus_grid([0.1, 0.2, 0.3], DampingRates(0.3, 1.0)))
+        stacks[1, 7, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            reduce_subsystem_grid(stacks, SPLIT22, qubit_state(0.3))
+
+    def test_zero_map_names_the_grid_point(self):
+        stacks = np.array(composite_kraus_grid([0.1, 0.2], DampingRates(0.3, 1.0)))
+        stacks[1] = 0.0
+        with pytest.raises(ValueError, match="mixing matrix is zero at grid point 1"):
+            reduce_subsystem_grid(stacks, SPLIT22, qubit_state(0.3))
+
+    def test_shape_and_truncation_checked(self):
+        kmap = composite_kraus(0.1, DampingRates(0.3, 1.0))
+        with pytest.raises(ValueError, match=r"\(T, k, dim, dim\)"):
+            reduce_subsystem_grid(kmap.stacked(), SPLIT22, qubit_state(0.3))
+        with pytest.raises(ValueError, match="truncation"):
+            reduce_subsystem_grid(kmap.stacked()[None], SPLIT22, qubit_state(0.3), truncation=True)
