@@ -45,25 +45,6 @@ _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# Where each closed-form amplitude sits in the eight operators: one row per
-# amplitude, in the column order of the amplitude table built by
-# composite_kraus_grid, listing (operator, row, column, factor).
-_LAYOUT = (
-    ((2, 0, 2, 1), (2, 2, 0, 1), (3, 0, 2, -1j), (3, 2, 0, 1j)),  # q1
-    ((0, 1, 3, 1j), (0, 3, 1, -1j), (1, 1, 3, -1), (1, 3, 1, -1)),  # q2
-    ((5, 0, 0, 1), (5, 2, 2, -1)),  # p1
-    ((4, 1, 1, -1), (4, 3, 3, 1)),  # p2
-    ((6, 0, 0, 1), (6, 2, 2, 1)),  # first component of the k7 sector
-    ((7, 0, 0, 1), (7, 2, 2, 1)),  # first component of the k8 sector
-    ((6, 1, 1, 1), (6, 3, 3, 1)),  # second component of k7
-    ((7, 1, 1, 1), (7, 3, 3, 1)),  # second component of k8
-)
-_PLACEMENT = np.zeros((len(_LAYOUT), 8, 4, 4), dtype=complex)
-for _amp, _entries in enumerate(_LAYOUT):
-    for _op, _row, _col, _factor in _entries:
-        _PLACEMENT[_amp, _op, _row, _col] = _factor
-_PLACEMENT = _PLACEMENT.reshape(len(_LAYOUT), -1)
-
 # Discriminant floor for the coherence Gram matrix; with valid rates it is
 # nonnegative up to rounding, so anything below this signals broken inputs.
 _DISCRIMINANT_TOL = 1e-6
@@ -226,16 +207,15 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     # spectral factorization of the coherence Gram matrix [[m11, eps], [eps, m22]]
     m = (1.0 + x) ** 2 / 4.0
     delta = m[:, 0] - m[:, 1]
-    big_r = np.hypot(delta, 2.0 * eps)
-    total = m[:, 0] + m[:, 1]
-    lam_minus = (total - big_r) / 2.0
-    lam_plus = (total + big_r) / 2.0
-    bad = first_failure(lam_minus >= -_DISCRIMINANT_TOL * np.maximum(lam_plus, 1.0))
+    big_r = np.hypot(delta, 2.0 * eps)[:, None]
+    sign = np.array([1.0, -1.0])
+    lam = ((m[:, 0] + m[:, 1])[:, None] - sign * big_r) / 2.0  # lam_minus, lam_plus
+    bad = first_failure(lam[:, 0] >= -_DISCRIMINANT_TOL * np.maximum(lam[:, 1], 1.0))
     if bad is not None:
         raise ModelInconsistencyError(
             f"coherence sector lost positivity at t={t[bad]} "
             f"(gamma1={rates.gamma1}, gamma2={rates.gamma2}): "
-            f"eigenvalue {lam_minus[bad]:.6e}"
+            f"eigenvalue {lam[bad, 0]:.6e}"
         )
     # Column 0 is lam_minus with eigenvector (eps, -(R + delta) / 2), column 1
     # lam_plus with (-eps, -(R - delta) / 2). Where R + sign * delta would
@@ -243,9 +223,7 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     # (sign * (R - sign * delta) / 2, -eps). At R = 0, the fully decohered
     # limit, M is a multiple of the identity and the eigenvectors are (0, 1)
     # and (-1, 0).
-    sign = np.array([1.0, -1.0])
     signed_delta = sign * delta[:, None]
-    big_r = big_r[:, None]
     stable = signed_delta >= 0.0
     first = np.where(stable, eps[:, None] * sign, sign * (big_r - signed_delta) / 2.0)
     second = np.where(stable, -(big_r + signed_delta) / 2.0, -eps[:, None])
@@ -257,14 +235,22 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     scale = np.maximum(np.abs(first), np.abs(second))
     first, second = first / scale, second / scale
     norm = np.hypot(first, second)
-    root = np.sqrt(np.maximum(np.stack((lam_minus, lam_plus), axis=-1), 0.0))
+    root = np.sqrt(np.maximum(lam, 0.0))
     first = root * first / norm
     second = root * second / norm
 
-    # every operator entry is one amplitude times a fixed factor, so one
-    # product with the placement table fills all of them exactly
-    amplitudes = np.concatenate((q, p, first, second), axis=1)
-    ops = (amplitudes @ _PLACEMENT).reshape(len(t), 8, 4, 4)
+    q1, q2 = q.T
+    p1, p2 = p.T
+    ops = np.zeros((len(t), 8, 4, 4), dtype=complex)
+    ops[:, 0, 1, 3], ops[:, 0, 3, 1] = 1j * q2, -1j * q2
+    ops[:, 1, 1, 3] = ops[:, 1, 3, 1] = -q2
+    ops[:, 2, 0, 2] = ops[:, 2, 2, 0] = q1
+    ops[:, 3, 0, 2], ops[:, 3, 2, 0] = -1j * q1, 1j * q1
+    ops[:, 4, 1, 1], ops[:, 4, 3, 3] = -p2, p2
+    ops[:, 5, 0, 0], ops[:, 5, 2, 2] = p1, -p1
+    # operators 6 and 7 hold the lam_minus and lam_plus eigenvectors
+    ops[:, 6:, 0, 0] = ops[:, 6:, 2, 2] = first
+    ops[:, 6:, 1, 1] = ops[:, 6:, 3, 3] = second
     defect = completeness_defect(ops)
     bad = first_failure(defect <= MODEL_TOL)
     if bad is not None:

@@ -105,17 +105,15 @@ class KrausMap:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if len(self.operators) == 0:
             raise ValueError("a Kraus map needs at least one operator")
-        ops = self.operators
-        if not (isinstance(ops, np.ndarray) and ops.shape[1:] == (self.dim, self.dim)):
-            ops = []
-            for i, op in enumerate(self.operators):
-                a = as_complex_matrix(op, f"operators[{i}]")
-                if a.shape[0] != self.dim:
-                    raise ValueError(
-                        f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
-                    )
-                ops.append(a)
-        stack = np.array(ops, dtype=complex)
+        ops = []
+        for i, op in enumerate(self.operators):
+            a = as_complex_matrix(op, f"operators[{i}]")
+            if a.shape[0] != self.dim:
+                raise ValueError(
+                    f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
+                )
+            ops.append(a)
+        stack = np.array(ops)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -165,7 +163,8 @@ def completeness_defect(kmap):
     value per map for a stack of maps."""
     stack = operator_stack(kmap)
     d = stack.shape[-1]
-    v = stack.reshape(*stack.shape[:-3], -1, d)  # operators one above the other: V^dagger V
+    # operators one above the other: V^dagger V
+    v = stack.reshape(*stack.shape[:-3], stack.shape[-3] * d, d)
     defect = np.abs(dagger(v) @ v - np.eye(d)).max(axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
@@ -225,7 +224,8 @@ def choi_of_any(kmap) -> np.ndarray:
     is ``sum_k V[k] V[k]^dagger = V^T conj(V)``.
     """
     stack = operator_stack(kmap)
-    v = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], -1)
+    d = stack.shape[-1]
+    v = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], d * d)
     return v.swapaxes(-1, -2) @ v.conj()
 
 

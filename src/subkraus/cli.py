@@ -33,7 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
 SWEEP_HEADER = "t,b0,b1,b2,b3,trace_defect,choi_min_eig,offdiag_B_max"
-# Grid points per batched pass of case-study; bounds its memory for any --steps.
+# Grid points per batched pass of case-study; bounds the numpy arrays of one
+# pass, while the time grid and the CSV lines still grow with --steps.
 SWEEP_CHUNK = 1024
 
 

@@ -67,10 +67,12 @@ def first_failure(ok: np.ndarray) -> Optional[int]:
     """Flat index of the first False among per-matrix gate verdicts, or None.
 
     Verdicts are written ``x <= tol``, so a NaN measurement counts as a
-    failure.
+    failure. An empty array has no failure.
     """
     if ok.ndim == 0:
         return None if ok else 0
+    if ok.size == 0:
+        return None
     i = int(ok.argmin())  # the first False, or 0 when all hold
     return None if ok.flat[i] else i
 

@@ -199,6 +199,10 @@ class TestCompositeKrausGrid:
         for t, ops in zip(ts, grid):
             np.testing.assert_array_equal(ops, composite_kraus(float(t), rates).stacked())
 
+    def test_empty_grid(self):
+        grid = composite_kraus_grid([], DampingRates(0.3, 1.0))
+        assert grid.shape == (0, 8, 4, 4)
+
     def test_read_only(self):
         grid = composite_kraus_grid([0.1], DampingRates(0.3, 1.0))
         with pytest.raises(ValueError):

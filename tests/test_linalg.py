@@ -222,6 +222,10 @@ class TestStackedHermitianEig:
         with pytest.raises(ValueError, match="matrix 4 of the stack"):
             hermitian_eig(stack)
 
+    def test_empty_stack(self):
+        eig = hermitian_eig(np.zeros((0, 3, 3), dtype=complex))
+        assert eig.eigenvalues.shape == (0, 3) and eig.unitary.shape == (0, 3, 3)
+
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="square"):
             hermitian_eig(np.zeros((3, 2, 4)))

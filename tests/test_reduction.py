@@ -514,6 +514,12 @@ class TestGridReduction:
         with pytest.raises(ValueError, match="mixing matrix is zero at grid point 1"):
             reduce_subsystem_grid(stacks, SPLIT22, qubit_state(0.3))
 
+    def test_empty_grid(self):
+        grid = reduce_subsystem_grid(np.zeros((0, 8, 4, 4)), SPLIT22, qubit_state(0.3))
+        assert grid.b.shape == (0, 4, 4) and grid.operators.shape == (0, 4, 2, 2)
+        assert completeness_defect(grid.operators).shape == (0,)
+        assert choi_of_any(grid.operators).shape == (0, 4, 4)
+
     def test_shape_and_truncation_checked(self):
         kmap = composite_kraus(0.1, DampingRates(0.3, 1.0))
         with pytest.raises(ValueError, match=r"\(T, k, dim, dim\)"):
