@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import STRUCTURAL_TOL, as_complex_matrix, hermiticity_defect
+from .linalg import STRUCTURAL_TOL, as_complex_matrix, require_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +41,8 @@ class OperatorBasis:
         for i, e in enumerate(elems):
             if e.shape[0] != d:
                 raise ValueError(f"elements[{i}] has dimension {e.shape[0]}, expected {d}")
-            if not hermiticity_defect(e) <= STRUCTURAL_TOL:
-                raise ValueError(f"elements[{i}] is not Hermitian")
         stack = np.array(elems)
+        require_hermitian(stack, "element")
         gram = np.einsum("iab,jba->ij", stack, stack)
         if not np.abs(gram - np.eye(d * d)).max() <= STRUCTURAL_TOL:
             raise ValueError("basis is not orthonormal under tr(g_i g_j) = delta_ij")

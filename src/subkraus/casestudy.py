@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityMatrix, KrausMap, completeness_defect
+from .channels import DensityMatrix, KrausMap, require_complete
 from .linalg import (
     MODEL_TOL,
     evolution_unitary,
@@ -206,7 +206,8 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
 
     # spectral factorization of the coherence Gram matrix [[m11, eps], [eps, m22]]
     m = (1.0 + x) ** 2 / 4.0
-    delta = m[:, 0] - m[:, 1]
+    # m11 - m22 factored, so that it keeps the digits of x_p below 1e-16
+    delta = (x[:, 0] - x[:, 1]) * (2.0 + x[:, 0] + x[:, 1]) / 4.0
     big_r = np.hypot(delta, 2.0 * eps)[:, None]
     sign = np.array([1.0, -1.0])
     lam = ((m[:, 0] + m[:, 1])[:, None] - sign * big_r) / 2.0  # lam_minus, lam_plus
@@ -251,13 +252,7 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     # operators 6 and 7 hold the lam_minus and lam_plus eigenvectors
     ops[:, 6:, 0, 0] = ops[:, 6:, 2, 2] = first
     ops[:, 6:, 1, 1] = ops[:, 6:, 3, 3] = second
-    defect = completeness_defect(ops)
-    bad = first_failure(defect <= MODEL_TOL)
-    if bad is not None:
-        raise ValueError(
-            f"composite operators violate the completeness condition at t={t[bad]} "
-            f"(defect {defect[bad]:.3e} > {MODEL_TOL:.1e})"
-        )
+    require_complete(ops, "composite operators", times=t, tol=MODEL_TOL)
     ops.setflags(write=False)
     return ops
 

@@ -31,8 +31,7 @@ from .linalg import (
     as_complex_stack,
     dagger,
     first_failure,
-    hermiticity_defect,
-    stack_member,
+    require_hermitian,
 )
 
 # Choi eigenvalues above this (negative) floor count as nonnegative.
@@ -48,9 +47,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, "density matrix").copy()
-        defect = hermiticity_defect(m)
-        if not defect <= STRUCTURAL_TOL:
-            raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
+        require_hermitian(m, "density matrix")
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
@@ -118,13 +115,7 @@ class KrausMap:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
         if self.trace_preserving:
-            defect = completeness_defect(self)
-            if not defect <= MODEL_TOL:
-                raise ValueError(
-                    f"operators violate the completeness condition "
-                    f"(defect {defect:.3e} > {MODEL_TOL:.1e}); "
-                    f"construct with trace_preserving=False to keep them anyway"
-                )
+            require_complete(self, "operators")
 
     @classmethod
     def from_operators(cls, operators, trace_preserving: bool = True) -> "KrausMap":
@@ -169,6 +160,28 @@ def completeness_defect(kmap):
     return float(defect) if defect.ndim == 0 else defect
 
 
+def require_complete(kmap, what: str, times=None, tol: float = MODEL_TOL) -> None:
+    """Raise ValueError unless a map, or each map of a stack, satisfies
+    sum_k K_k^dagger K_k = I within ``tol``.
+
+    A NaN defect fails. The message calls the operators ``what`` and names
+    the first failing map of a stack, as ``at t=...`` when ``times`` gives
+    the time of each map.
+    """
+    defect = np.asarray(completeness_defect(kmap))
+    bad = first_failure(defect <= tol)
+    if bad is None:
+        return
+    if times is not None:
+        where = f" at t={times[bad]}"
+    else:
+        where = "" if defect.ndim == 0 else f" (map {bad} of the stack)"
+    raise ValueError(
+        f"{what} violate the completeness condition{where} "
+        f"(defect {defect.flat[bad]:.3e} > {tol:.1e})"
+    )
+
+
 def apply_matrix(kmap: KrausMap, m) -> np.ndarray:
     """Linear action sum_k K_k m K_k^dagger on an arbitrary matrix."""
     a = as_complex_matrix(m)
@@ -205,13 +218,7 @@ class ChoiMatrix:
                 f"Choi matrix for dimension {self.dim} must be "
                 f"{self.dim * self.dim}x{self.dim * self.dim}, got {m.shape[-1]}"
             )
-        defect = hermiticity_defect(m)
-        bad = first_failure(defect <= STRUCTURAL_TOL)
-        if bad is not None:
-            raise ValueError(
-                f"{stack_member('Choi matrix', m, bad)} is not Hermitian "
-                f"(defect {defect.flat[bad]:.3e})"
-            )
+        require_hermitian(m, "Choi matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -44,12 +44,6 @@ def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def stack_member(name: str, a: np.ndarray, index: int) -> str:
-    """``name`` for a single matrix; ``name`` and the flat position of the
-    member for a stack, for messages of per-matrix gates."""
-    return name if a.ndim == 2 else f"{name} {index} of the stack"
-
-
 def nonnegative_real(value, name: str) -> float:
     """``value`` as a float if it is a finite, nonnegative real number.
 
@@ -89,6 +83,20 @@ def max_abs(m: np.ndarray) -> float:
 def hermiticity_defect(m: np.ndarray):
     """max |m - m^dagger| of a matrix, or of each matrix of a (..., n, n) stack."""
     return np.abs(m - dagger(m)).max(axis=(-2, -1))
+
+
+def require_hermitian(m: np.ndarray, name: str, tol: float = STRUCTURAL_TOL) -> None:
+    """Raise ValueError unless ``m``, or each matrix of a (..., n, n) stack,
+    is Hermitian within ``tol``; a NaN defect fails. The message calls the
+    matrix ``name``, and a stack's first failing member ``name`` and its flat
+    position."""
+    defect = hermiticity_defect(m)
+    bad = first_failure(defect <= tol)
+    if bad is not None:
+        member = name if m.ndim == 2 else f"{name} {bad} of the stack"
+        raise ValueError(
+            f"{member} is not Hermitian (defect {defect.flat[bad]:.3e} > {tol:.1e})"
+        )
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -142,13 +150,7 @@ def hermitian_eig(h, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
     would alone; an all-zero matrix returns the identity as its eigenvectors.
     """
     a = as_complex_stack(h, "h")
-    defect = hermiticity_defect(a)
-    bad = first_failure(defect <= tol)
-    if bad is not None:
-        raise ValueError(
-            f"{stack_member('matrix', a, bad)} is not Hermitian: max |h - h^dagger| = "
-            f"{defect.flat[bad]:.3e} > {tol:.1e}"
-        )
+    require_hermitian(a, "matrix", tol)
     n = a.shape[-1]
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     # one flat batch axis b; index arrays (b, row, column) instead of

@@ -36,7 +36,7 @@ from .channels import (
     DensityMatrix,
     KrausMap,
     apply_matrix,
-    channel_distance,
+    choi_of_any,
     operator_stack,
 )
 from .linalg import (
@@ -44,11 +44,10 @@ from .linalg import (
     as_complex_stack,
     first_failure,
     hermitian_eig,
-    hermiticity_defect,
     max_abs,
     nonnegative_real,
     partial_trace,
-    stack_member,
+    require_hermitian,
 )
 
 # B eigenvalues below this are treated as a diagnostic failure rather than
@@ -135,13 +134,7 @@ class BMatrix:
 
     def __post_init__(self):
         v = as_complex_stack(self.values, "B matrix").copy()
-        defect = hermiticity_defect(v)
-        bad = first_failure(defect <= STRUCTURAL_TOL)
-        if bad is not None:
-            raise ValueError(
-                f"{stack_member('B matrix', v, bad)} is not Hermitian "
-                f"(defect {defect.flat[bad]:.3e})"
-            )
+        require_hermitian(v, "B matrix")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -406,13 +399,12 @@ def reduced_domain_verdict(
     dims = {br.subsystem_map.dim for br in branches}
     if len(dims) != 1:
         raise ValueError(f"branches have mixed dimensions {sorted(dims)}")
-    worst = 0.0
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            worst = max(
-                worst,
-                channel_distance(branches[i].subsystem_map, branches[j].subsystem_map),
-            )
+    # channel_distance of every pair i < j, over one stack of Choi matrices:
+    # the branches may keep different numbers of operators
+    chois = np.array([choi_of_any(br.subsystem_map) for br in branches])
+    i, j = np.triu_indices(len(branches), 1)
+    distances = np.sqrt((np.abs(chois[i] - chois[j]) ** 2).sum(axis=(-2, -1)))
+    worst = float(distances.max(initial=0.0))
     uniform = worst <= tol
     return DomainVerdict(uniform, worst, branches[0].subsystem_map if uniform else None)
 

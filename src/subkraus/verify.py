@@ -4,11 +4,13 @@ Structural checks exercise the exact linear-algebra contracts at 1e-12 and
 run in well under a second; model checks sweep the two-qubit model and its
 closed forms at their stated tolerances and log the measured residuals.
 Each check reports the worst residual it saw, so a failing run shows how
-far off it was, not just that it failed.
+far off it was, not just that it failed; a check that raises fails alone.
+The test suite shares the random builders and the brute-force oracle here.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,42 +31,45 @@ class CheckResult:
     note: str = ""
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def random_complex(rng, d: int) -> np.ndarray:
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def _random_hermitian(rng, d: int) -> np.ndarray:
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_hermitian(rng, d: int) -> np.ndarray:
+    m = random_complex(rng, d)
     return (m + m.conj().T) / 2
 
 
-def _random_density(rng, d: int) -> channels.DensityMatrix:
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = m @ m.conj().T
-    return channels.DensityMatrix(rho / np.trace(rho).real)
-
-
-def _random_tp_map(rng, d: int, n: int) -> channels.KrausMap:
-    ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n)]
+def random_tp_kraus(rng, d: int, n: int) -> channels.KrausMap:
+    """Random trace-preserving map: raw operators right-normalized by the
+    inverse square root of their completeness sum (through numpy's ``eigh``,
+    not the package's eigensolver)."""
+    ops = [random_complex(rng, d) for _ in range(n)]
     s = sum(op.conj().T @ op for op in ops)
-    eig = linalg.hermitian_eig(s)
-    inv_sqrt = (eig.unitary / np.sqrt(eig.eigenvalues)) @ eig.unitary.conj().T
+    w, v = np.linalg.eigh(s)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     return channels.KrausMap(d, tuple(op @ inv_sqrt for op in ops), trace_preserving=True)
 
 
-def _brute_force_reduced_choi(
-    kmap: channels.KrausMap, split: reduction.Bipartition, rho2: channels.DensityMatrix
+def brute_force_reduced_choi(
+    kmap: channels.KrausMap,
+    split: reduction.Bipartition,
+    rho_other: channels.DensityMatrix,
+    keep: int = 1,
 ) -> np.ndarray:
-    """Choi matrix of rho1 -> tr_2(Phi(rho1 (x) rho2)) computed directly."""
-    d1 = split.d1
-    out = np.zeros((d1 * d1, d1 * d1), dtype=complex)
-    for a in range(d1):
-        for b in range(d1):
-            unit = np.zeros((d1, d1), dtype=complex)
+    """Choi matrix of the reduced channel, from direct composite evolution:
+    rho -> tr_other(Phi(rho (x) rho_other)) for ``keep=1``, the mirror image
+    for ``keep=2``."""
+    d_keep = split.d1 if keep == 1 else split.d2
+    out = np.zeros((d_keep * d_keep, d_keep * d_keep), dtype=complex)
+    for a in range(d_keep):
+        for b in range(d_keep):
+            unit = np.zeros((d_keep, d_keep), dtype=complex)
             unit[a, b] = 1.0
-            evolved = channels.apply_matrix(kmap, linalg.tensor_product(unit, rho2.matrix))
-            block = linalg.partial_trace(evolved, split.d1, split.d2, keep=1)
-            out[a * d1 : (a + 1) * d1, b * d1 : (b + 1) * d1] = block
+            pair = (unit, rho_other.matrix) if keep == 1 else (rho_other.matrix, unit)
+            evolved = channels.apply_matrix(kmap, linalg.tensor_product(*pair))
+            block = linalg.partial_trace(evolved, split.d1, split.d2, keep=keep)
+            out[a * d_keep : (a + 1) * d_keep, b * d_keep : (b + 1) * d_keep] = block
     return out
 
 
@@ -73,11 +78,11 @@ def _brute_force_reduced_choi(
 # ---------------------------------------------------------------------------
 
 def check_eigensolver(seed: int = 11) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(100):
         d = 2 + i % 8
-        h = _random_hermitian(rng, d)
+        h = random_hermitian(rng, d)
         eig = linalg.hermitian_eig(h)
         recon = (eig.unitary * eig.eigenvalues) @ eig.unitary.conj().T
         unit = eig.unitary.conj().T @ eig.unitary
@@ -90,7 +95,7 @@ def check_eigensolver(seed: int = 11) -> CheckResult:
 
 
 def check_tensor_algebra(seed: int = 12) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
         a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
@@ -105,7 +110,7 @@ def check_tensor_algebra(seed: int = 12) -> CheckResult:
 
 
 def check_partial_trace(seed: int = 13) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -120,10 +125,10 @@ def check_partial_trace(seed: int = 13) -> CheckResult:
 
 
 def check_evolution_unitarity(seed: int = 14) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
-        h = _random_hermitian(rng, 4)
+        h = random_hermitian(rng, 4)
         t = rng.uniform(-2, 2)
         u = linalg.evolution_unitary(h, t)
         worst = max(worst, linalg.max_abs(u @ linalg.evolution_unitary(h, -t) - np.eye(4)))
@@ -142,7 +147,7 @@ def check_basis_gram() -> CheckResult:
 
 
 def check_basis_roundtrip(seed: int = 15) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d in (2, 3):
         bas = basis.build_hermitian_basis(d)
@@ -175,10 +180,10 @@ def check_choi_landmarks() -> CheckResult:
 
 
 def check_distance_gauge(seed: int = 16) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
-        kmap = _random_tp_map(rng, 2, 2)
+        kmap = random_tp_kraus(rng, 2, 2)
         raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         mix, _ = np.linalg.qr(raw)
         mixed_ops = tuple(
@@ -194,8 +199,8 @@ def check_distance_gauge(seed: int = 16) -> CheckResult:
 
 
 def check_mapfile_roundtrip(seed: int = 17) -> CheckResult:
-    rng = _rng(seed)
-    kmap = _random_tp_map(rng, 2, 3)
+    rng = np.random.default_rng(seed)
+    kmap = random_tp_kraus(rng, 2, 3)
     text1 = channels.dump_map_json(kmap, label="roundtrip")
     loaded = channels.load_map_json(text1)
     text2 = channels.dump_map_json(loaded, label="roundtrip")
@@ -269,7 +274,7 @@ def check_reduced_cp_on_grid() -> CheckResult:
 
 
 def check_oracle_equivalence(seed: int = 21) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     split = reduction.Bipartition(2, 2)
     worst = 0.0
     for _ in range(10):
@@ -279,7 +284,7 @@ def check_oracle_equivalence(seed: int = 21) -> CheckResult:
         rho2 = casestudy.qubit_state(a)
         kmap = casestudy.composite_kraus(t, rates)
         result = reduction.reduce_subsystem(kmap, split, rho2)
-        brute = _brute_force_reduced_choi(kmap, split, rho2)
+        brute = brute_force_reduced_choi(kmap, split, rho2)
         algo = channels.choi_of_any(result.subsystem_map)
         worst = max(worst, linalg.max_abs(brute - algo))
     return CheckResult("reduction equals brute-force channel", "model", worst < 1e-10, worst, 1e-10)
@@ -391,13 +396,20 @@ _MODEL: tuple[Callable[[], CheckResult], ...] = (
 )
 
 
+def _run(check: Callable[[], CheckResult], scope: str) -> CheckResult:
+    """The check's result; a check that raises is a failed result named
+    after the function, with the exception as its note."""
+    try:
+        return check()
+    except Exception as exc:
+        note = f"raised {type(exc).__name__}: {exc}"
+        return CheckResult(check.__name__, scope, False, math.nan, math.nan, note)
+
+
 def run_checks(scope: str = "all") -> list[CheckResult]:
-    if scope == "structural":
-        funcs = _STRUCTURAL
-    elif scope == "model":
-        funcs = _MODEL
-    elif scope == "all":
-        funcs = _STRUCTURAL + _MODEL
-    else:
+    """Run every check of ``scope``, structural before model; each check
+    runs even when an earlier one failed or raised."""
+    groups = {"structural": _STRUCTURAL, "model": _MODEL}
+    if scope not in ("all", *groups):
         raise ValueError(f"unknown scope {scope!r}; use structural, model, or all")
-    return [f() for f in funcs]
+    return [_run(f, s) for s, funcs in groups.items() if scope in ("all", s) for f in funcs]

@@ -3,6 +3,8 @@
 Oracles here deliberately avoid the library's own pipeline: reduced channels
 are computed by evolving the composite system directly, eigensystems are
 cross-checked against numpy, and Choi matrices are assembled entry by entry.
+The random builders and the brute-force reduced Choi matrix are the ones the
+``verify`` self-checks use, imported from ``subkraus.verify``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ import numpy as np
 from subkraus import Bipartition, DensityMatrix, KrausMap
 from subkraus.channels import apply_matrix
 from subkraus.linalg import partial_trace, tensor_product
+from subkraus.verify import (
+    brute_force_reduced_choi,
+    random_complex,
+    random_hermitian,
+    random_tp_kraus,
+)
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -25,15 +33,6 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_complex(rng, d: int) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def random_hermitian(rng, d: int) -> np.ndarray:
-    m = random_complex(rng, d)
-    return (m + m.conj().T) / 2
-
-
 def random_density(rng, d: int) -> DensityMatrix:
     m = random_complex(rng, d)
     rho = m @ m.conj().T
@@ -43,16 +42,6 @@ def random_density(rng, d: int) -> DensityMatrix:
 def random_unitary(rng, d: int) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(rng, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_tp_kraus(rng, d: int, n: int) -> KrausMap:
-    """Random trace-preserving map: raw operators right-normalized by the
-    inverse square root of their completeness sum."""
-    ops = [random_complex(rng, d) for _ in range(n)]
-    s = sum(op.conj().T @ op for op in ops)
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return KrausMap(d, tuple(op @ inv_sqrt for op in ops), trace_preserving=True)
 
 
 def bell_state() -> DensityMatrix:
@@ -67,26 +56,6 @@ def brute_force_reduced_state(
     """tr_2 of the composite evolution of rho1 (x) rho2."""
     joint = tensor_product(rho1.matrix, rho2.matrix)
     return partial_trace(apply_matrix(kmap, joint), split.d1, split.d2, keep=1)
-
-
-def brute_force_reduced_choi(
-    kmap: KrausMap, split: Bipartition, rho_other: DensityMatrix, keep: int = 1
-) -> np.ndarray:
-    """Choi matrix of the reduced channel, from direct composite evolution."""
-    d_keep = split.d1 if keep == 1 else split.d2
-    out = np.zeros((d_keep * d_keep, d_keep * d_keep), dtype=complex)
-    for a in range(d_keep):
-        for b in range(d_keep):
-            unit = np.zeros((d_keep, d_keep), dtype=complex)
-            unit[a, b] = 1.0
-            if keep == 1:
-                joint = tensor_product(unit, rho_other.matrix)
-            else:
-                joint = tensor_product(rho_other.matrix, unit)
-            evolved = apply_matrix(kmap, joint)
-            block = partial_trace(evolved, split.d1, split.d2, keep=keep)
-            out[a * d_keep : (a + 1) * d_keep, b * d_keep : (b + 1) * d_keep] = block
-    return out
 
 
 def choi_by_definition(kmap: KrausMap) -> np.ndarray:

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -235,6 +237,30 @@ class TestCompositeKrausGrid:
         ratio = eps / (((1 + x1) ** 2 - (1 + x2) ** 2) / 4)  # second / first component
         k8 = np.diag(kmap.operators[7]).real
         assert k8[1] / k8[0] == pytest.approx(ratio, rel=1e-6)
+
+    def test_small_diagonal_entries_match_50_digits(self):
+        # x1 ~ 2e-13 and x2 ~ 2e-30, so delta = m11 - m22 ~ x1 / 2 is below
+        # the rounding of (1 + x1)^2 / 4; the reference is the same spectral
+        # factorization in 50-digit decimal arithmetic
+        gamma1, gamma2, t = 0.637, 1.5, 2.85
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            g1, g2, tt = Decimal(gamma1), Decimal(gamma2), Decimal(t)
+            x1, x2 = (-16 * g1 * tt).exp(), (-16 * g2 * tt).exp()
+            eps = (-8 * (g1 + g2) * tt).exp()
+            m11, m22 = (1 + x1) ** 2 / 4, (1 + x2) ** 2 / 4
+            delta = m11 - m22
+            big_r = (delta * delta + 4 * eps * eps).sqrt()
+            lam_minus, lam_plus = (m11 + m22 - big_r) / 2, (m11 + m22 + big_r) / 2
+            # delta > 0: eigenvectors (eps, -(R + delta) / 2) for lam_minus and
+            # (-(R + delta) / 2, -eps) for lam_plus
+            norm = (eps * eps + ((big_r + delta) / 2) ** 2).sqrt()
+            k7 = lam_minus.sqrt() * eps / norm  # operator 6, entry (0, 0)
+            k8 = -lam_plus.sqrt() * eps / norm  # operator 7, entry (1, 1)
+        ops = composite_kraus_grid([t], DampingRates(gamma1, gamma2))[0]
+        for got, want in ((ops[6, 0, 0], k7), (ops[7, 1, 1], k8)):
+            assert got.imag == 0.0
+            assert abs((Decimal(got.real) - want) / want) <= Decimal("1e-13")
 
     @pytest.mark.parametrize(
         "ts,message",

@@ -28,6 +28,7 @@ from subkraus.channels import (
     load_map_json,
     maximally_mixed,
     pure_state,
+    require_complete,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -385,6 +386,20 @@ def test_stack_gates_name_the_failing_map():
     with pytest.raises(ValueError, match="Choi matrix 2 of the stack is not Hermitian"):
         ChoiMatrix(choi_of_any(stack), 2)
     assert np.isnan(completeness_defect(stack)[2])
+
+
+def test_require_complete_names_the_first_failing_map():
+    rng = rng_from(43)
+    stack = np.array([random_tp_kraus(rng, 2, 2).stacked() for _ in range(3)])
+    require_complete(stack, "operators")
+    require_complete(KrausMap(2, stack[0]), "operators")
+    stack[2, 0, 0, 0] = np.nan  # a NaN defect fails
+    with pytest.raises(ValueError, match=r"condition \(map 2 of the stack\) \(defect nan > 1.0e-08\)"):
+        require_complete(stack, "operators")
+    with pytest.raises(ValueError, match="operators violate the completeness condition at t=0.5 "):
+        require_complete(stack, "operators", times=[0.1, 0.2, 0.5])
+    with pytest.raises(ValueError, match=r"^operators violate the completeness condition \(defect"):
+        require_complete(KrausMap(2, stack[1] * 1.1, trace_preserving=False), "operators")
 
 
 @given(seeds)

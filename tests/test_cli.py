@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tp_kraus, rng_from
-from subkraus import casestudy, cli
+from subkraus import casestudy, cli, verify
 from subkraus.casestudy import DampingRates, closed_form_b, composite_kraus, qubit_state
 from subkraus.channels import (
     DensityMatrix,
@@ -69,7 +69,7 @@ class TestReduce:
         reduced = load_map_json(out_path.read_text())
         assert completeness_defect(reduced) < 1e-8
 
-    def test_broken_completeness_exits_3(self, tmp_path):
+    def test_broken_completeness_exits_3(self, tmp_path, capsys):
         map_path = tmp_path / "broken.json"
         out_path = tmp_path / "out.json"
         rho_path = tmp_path / "rho.json"
@@ -81,6 +81,10 @@ class TestReduce:
             "--rho", str(rho_path), "--out", str(out_path),
         ])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"diagnostic: map file {map_path}: ")
+        assert "completeness condition (defect 5.100e-01 > 1.0e-08)" in err
+        assert not out_path.exists()
 
     def test_malformed_map_exits_2(self, tmp_path, capsys):
         map_path = tmp_path / "bad.json"
@@ -270,6 +274,35 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "composite completeness" in out
+
+    def test_raising_check_fails_and_the_rest_run(self, monkeypatch, capsys):
+        def check_raises():
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(verify, "_MODEL", (check_raises, *verify._MODEL[1:]))
+        code = cli.main(["verify", "--scope", "model"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 10 and lines[-1] == "8/9 checks passed"
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert "[model     ] check_raises" in failed[0]
+        assert "measured=nan bound=nan" in failed[0]
+        assert "raised ValueError: synthetic failure" in failed[0]
+        assert sum(line.startswith("PASS") for line in lines) == 8
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejected_parse_leaves_the_parser_usable(self, tmp_path):
+        argv = ["case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "0.3",
+                "--t-max", "1.0", "--out", str(tmp_path / "sweep.csv")]
+        assert exit_code(argv + ["--steps", "x"]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+        assert exit_code(argv + ["--steps", "3"]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
 
 
 class TestChoi:

@@ -9,6 +9,7 @@ from subkraus.linalg import (
     evolution_unitary,
     hermitian_eig,
     partial_trace,
+    require_hermitian,
     tensor_product,
 )
 
@@ -221,6 +222,18 @@ class TestStackedHermitianEig:
         stack[4, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="matrix 4 of the stack"):
             hermitian_eig(stack)
+
+    def test_gate_names_the_matrix_and_fails_on_nan(self):
+        stack = self.stack()
+        require_hermitian(stack, "B matrix")
+        require_hermitian(stack[4], "B matrix")
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match=r"^B matrix is not Hermitian \(defect 1.000e-06 > 1.0e-12\)$"):
+            require_hermitian(stack[4], "B matrix")
+        require_hermitian(stack[4], "B matrix", tol=1e-5)
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"B matrix 1 of the stack is not Hermitian \(defect nan"):
+            require_hermitian(stack, "B matrix", tol=1e-5)
 
     def test_empty_stack(self):
         eig = hermitian_eig(np.zeros((0, 3, 3), dtype=complex))

@@ -349,6 +349,22 @@ class TestSeparableEnsemble:
         with pytest.raises(ValueError):
             reduced_domain_verdict([])
 
+    @given(seeds, st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_distance_equals_pairwise_loop(self, seed, d):
+        rng = rng_from(seed)
+        kmap = random_tp_kraus(rng, d * d, 3)
+        pairs = tuple((random_density(rng, d), random_density(rng, d)) for _ in range(6))
+        ensemble = SeparableEnsemble((0.5, 0.1, 0.1, 0.1, 0.1, 0.1), pairs)
+        branches = reduce_separable_ensemble(kmap, Bipartition(d, d), ensemble)
+        loop = max(
+            channel_distance(a.subsystem_map, b.subsystem_map)
+            for i, a in enumerate(branches)
+            for b in branches[i + 1 :]
+        )
+        assert reduced_domain_verdict(branches).max_pairwise_distance == loop
+        assert reduced_domain_verdict(branches[:1]).max_pairwise_distance == 0.0
+
 
 class TestCorrelatedProbe:
     def test_product_control_is_zero(self):
