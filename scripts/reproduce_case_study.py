@@ -19,19 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from subkraus import (
-    Bipartition,
-    DampingRates,
-    KrausMap,
-    channel_distance,
-    closed_form_b,
-    closed_form_subsystem_map,
-    completeness_defect,
-    composite_kraus_grid,
-    qubit_state,
-    reduce_subsystem_grid,
-)
+from subkraus import DampingRates, closed_form_b, completeness_defect, composite_kraus_grid
 from subkraus.cli import main as cli_main
+from subkraus.verify import closed_form_residuals
 
 
 @dataclass(frozen=True)
@@ -46,9 +36,6 @@ class SweepConfig:
 
 def run(config: SweepConfig) -> int:
     rates = DampingRates(config.gamma1, config.gamma2)
-    split = Bipartition(2, 2)
-    rho2 = qubit_state(config.a)
-
     code = cli_main([
         "case-study",
         "--gamma1", str(config.gamma1),
@@ -63,18 +50,8 @@ def run(config: SweepConfig) -> int:
     print(f"wrote {config.steps}-row sweep to {config.out}")
 
     ts = np.linspace(0.0, config.t_max, config.steps)
-    stacks = composite_kraus_grid(ts, rates)
-    worst_defect = float(completeness_defect(stacks).max())
-    grid = reduce_subsystem_grid(stacks, split, rho2)
-    worst_b = 0.0
-    worst_dist = 0.0
-    for t, b, ops in zip(ts, grid.b, grid.operators):
-        expected = closed_form_b(t, rates, config.a)
-        worst_b = max(worst_b, max(abs(b[i, i].real - expected[i]) for i in range(4)))
-        worst_dist = max(
-            worst_dist,
-            channel_distance(KrausMap(2, ops), closed_form_subsystem_map(t, rates, config.a)),
-        )
+    worst_defect = float(completeness_defect(composite_kraus_grid(ts, rates)).max())
+    worst_b, _, worst_dist = (float(r.max()) for r in closed_form_residuals(ts, rates, config.a))
 
     b_start = closed_form_b(0.0, rates, config.a)
     print(f"b(0) = {b_start}  (identity channel)")

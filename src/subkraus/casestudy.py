@@ -276,8 +276,11 @@ def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float
     x1 = math.exp(-16.0 * rates.gamma1 * t)
     x2 = math.exp(-16.0 * rates.gamma2 * t)
     b0 = 0.5 + (1.0 - a) / 2.0 * x2 * x2 + a / 2.0 * x1 * x1 + (1.0 - a) * x2 + a * x1
-    b1 = 0.5 - (1.0 - a) / 2.0 * x2 * x2 - a / 2.0 * x1 * x1
-    b3 = (1.0 - a) / 2.0 * (1.0 - x2) ** 2 + a / 2.0 * (1.0 - x1) ** 2
+    # 1 - x_p and 1 - x_p^2 through expm1: formed from x_p they cancel at small t
+    y1, y2 = -math.expm1(-16.0 * rates.gamma1 * t), -math.expm1(-16.0 * rates.gamma2 * t)
+    z1, z2 = -math.expm1(-32.0 * rates.gamma1 * t), -math.expm1(-32.0 * rates.gamma2 * t)
+    b1 = (1.0 - a) / 2.0 * z2 + a / 2.0 * z1
+    b3 = (1.0 - a) / 2.0 * y2 * y2 + a / 2.0 * y1 * y1
     return b0, b1, b1, b3
 
 

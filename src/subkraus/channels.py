@@ -160,9 +160,13 @@ def completeness_defect(kmap):
     return float(defect) if defect.ndim == 0 else defect
 
 
+class CompletenessError(ValueError):
+    """A map violates the completeness condition sum_k K_k^dagger K_k = I."""
+
+
 def require_complete(kmap, what: str, times=None, tol: float = MODEL_TOL) -> None:
-    """Raise ValueError unless a map, or each map of a stack, satisfies
-    sum_k K_k^dagger K_k = I within ``tol``.
+    """Raise :class:`CompletenessError` unless a map, or each map of a stack,
+    satisfies sum_k K_k^dagger K_k = I within ``tol``.
 
     A NaN defect fails. The message calls the operators ``what`` and names
     the first failing map of a stack, as ``at t=...`` when ``times`` gives
@@ -176,7 +180,7 @@ def require_complete(kmap, what: str, times=None, tol: float = MODEL_TOL) -> Non
         where = f" at t={times[bad]}"
     else:
         where = "" if defect.ndim == 0 else f" (map {bad} of the stack)"
-    raise ValueError(
+    raise CompletenessError(
         f"{what} violate the completeness condition{where} "
         f"(defect {defect.flat[bad]:.3e} > {tol:.1e})"
     )

@@ -8,8 +8,8 @@ Commands:
 * ``choi``        dump the Choi matrix and its minimum eigenvalue
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input validation, 3 model diagnostic (broken completeness or a negative
-mixing-matrix eigenvalue).
+2 input validation, 3 model diagnostic (broken completeness, raised as
+``channels.CompletenessError``, or a negative mixing-matrix eigenvalue).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def _read_text(path: str) -> str:
 def _load_checked_map(path: str) -> channels.KrausMap:
     raw = channels.load_map_json(_read_text(path))
     try:
-        # the file is parsed and shaped, so completeness is all that can fail
         return channels.KrausMap(raw.dim, raw.stacked(), trace_preserving=True)
-    except ValueError as exc:
+    except channels.CompletenessError as exc:
         raise _Diagnostic(f"map file {path}: {exc}") from exc
 
 
@@ -141,15 +140,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_choi(args: argparse.Namespace) -> int:
     raw = channels.load_map_json(_read_text(args.map))
-    choi = channels.choi_of_any(raw)
-    verdict = channels.cp_verdict(
-        channels.ChoiMatrix(choi, raw.dim), tol=args.tol
-    )
+    # a loaded map is not asserted trace preserving, so there is no trace gate
+    choi = channels.choi_matrix(raw)
+    verdict = channels.cp_verdict(choi, tol=args.tol)
     doc = (
         "{"
         + f'"dim":{raw.dim},"min_eigenvalue":{fmt17(verdict.min_eigenvalue)},'
         + f'"is_cp":{"true" if verdict.is_cp else "false"},'
-        + f'"choi":{matrix_json(choi)}'
+        + f'"choi":{matrix_json(choi.matrix)}'
         + "}\n"
     )
     if args.out:
@@ -209,7 +207,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_Diagnostic, casestudy.ModelInconsistencyError, reduction.NonPositiveBMatrixError) as exc:
+    except (_Diagnostic, casestudy.ModelInconsistencyError, reduction.NonPositiveBMatrixError,
+            channels.CompletenessError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except (ValueError, OSError) as exc:

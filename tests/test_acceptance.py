@@ -62,7 +62,7 @@ def report(num: int, name: str, measured: float, bound: float, direction: str = 
 def test_criterion_01_oracle_equivalence():
     # 20 random tuples: reduced map output equals composite evolution + trace
     rng = rng_from(1001)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         rates = DampingRates(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
         t = float(rng.uniform(0.1, 2.0))
@@ -73,7 +73,8 @@ def test_criterion_01_oracle_equivalence():
         reduced = reduce_subsystem(kmap, SPLIT, rho2).subsystem_map
         via_algorithm = sum(op @ rho1.matrix @ op.conj().T for op in reduced.operators)
         via_composite = brute_force_reduced_state(kmap, SPLIT, rho1, rho2)
-        worst = max(worst, max_abs(via_algorithm - via_composite))
+        residuals.append(max_abs(via_algorithm - via_composite))
+    worst = np.max(residuals)
     assert worst < 1e-10
     report(1, "subsystem algorithm vs composite-evolution oracle", worst, 1e-10)
 
@@ -87,14 +88,13 @@ def _tau_grid_cases():
 
 
 def test_criterion_02_closed_form_regression():
-    worst_diag = 0.0
-    worst_off = 0.0
+    diag, off = [], []
     for rates, t, a in _tau_grid_cases():
         result = reduce_subsystem(composite_kraus(t, rates), SPLIT, qubit_state(a))
         b = result.b.values
-        expected = closed_form_b(t, rates, a)
-        worst_diag = max(worst_diag, max(abs(b[i, i].real - expected[i]) for i in range(4)))
-        worst_off = max(worst_off, max_abs(b - np.diag(np.diag(b))))
+        diag.append(np.abs(np.diag(b).real - closed_form_b(t, rates, a)))
+        off.append(max_abs(b - np.diag(np.diag(b))))
+    worst_diag, worst_off = np.max(diag), np.max(off)
     assert worst_diag < 1e-10
     assert worst_off < 1e-12
     report(2, "mixing-matrix diagonal vs closed form", worst_diag, 1e-10)
@@ -102,11 +102,12 @@ def test_criterion_02_closed_form_regression():
 
 
 def test_criterion_03_trace_preservation():
-    worst = 0.0
+    defects = []
     for rates, t, a in _tau_grid_cases():
         result = reduce_subsystem(composite_kraus(t, rates), SPLIT, qubit_state(a))
         total = sum(result.b.values[i, i].real for i in range(4))
-        worst = max(worst, abs(total / 2.0 - 1.0))
+        defects.append(abs(total / 2.0 - 1.0))
+    worst = np.max(defects)
     assert worst < 1e-10
     report(3, "(b0+b1+b2+b3)/2 = 1 on the grid", worst, 1e-10)
 
@@ -125,15 +126,15 @@ def test_criterion_04_identity_limit():
     ident2 = KrausMap(2, (np.eye(2, dtype=complex),))
     d_red = channel_distance(reduced, ident2)
     assert d_comp < 1e-10 and d_red < 1e-10
-    report(4, "identity channel at t = 0 (composite and reduced)", max(d_comp, d_red), 1e-10)
+    report(4, "identity channel at t = 0 (composite and reduced)", np.max([d_comp, d_red]), 1e-10)
 
 
 def test_criterion_05_composite_completeness():
     rates = DampingRates(0.3, 1.0)
     total = rates.gamma1 + rates.gamma2
-    worst = 0.0
-    for tau in np.linspace(0.0, 1.0, 50):
-        worst = max(worst, completeness_defect(composite_kraus(tau / total, rates)))
+    worst = np.max([
+        completeness_defect(composite_kraus(tau / total, rates)) for tau in np.linspace(0.0, 1.0, 50)
+    ])
     assert worst < 1e-8
     report(5, "composite completeness over the grid (measured maximum)", worst, 1e-8)
 
@@ -141,14 +142,15 @@ def test_criterion_05_composite_completeness():
 def test_criterion_06_cp_verdicts():
     rates = DampingRates(0.3, 1.0)
     total = rates.gamma1 + rates.gamma2
-    worst = 0.0
+    min_eigenvalues = [0.0]
     for tau in np.linspace(0.0, 1.0, 50):
         reduced = reduce_subsystem(
             composite_kraus(tau / total, rates), SPLIT, qubit_state(0.3)
         ).subsystem_map
         verdict = cp_verdict(choi_matrix(reduced))
-        worst = min(worst, verdict.min_eigenvalue)
+        min_eigenvalues.append(verdict.min_eigenvalue)
         assert verdict.is_cp
+    worst = np.min(min_eigenvalues)
     assert worst >= -1e-10
     swap = np.zeros((4, 4), dtype=complex)
     for i in range(2):
@@ -200,7 +202,7 @@ def test_criterion_09_factorization():
     flags = factorization_check(c_coefficients(kmap, SPLIT, B2, B2), tol=1e-10)
     assert len(flags) == 8
     assert all(f.is_product for f in flags)
-    worst = max(f.singular_ratio for f in flags)
+    worst = np.max([f.singular_ratio for f in flags])
     entangler = (
         tensor_product(SIGMA[1], np.eye(2)) + tensor_product(np.eye(2), SIGMA[1])
     ) / np.sqrt(2)
@@ -214,22 +216,24 @@ def test_criterion_09_factorization():
 
 def test_criterion_10_structural_suite(tmp_path):
     rng = rng_from(1010)
-    worst_eig = 0.0
+    residuals = []
     for i in range(100):
         d = 2 + i % 8
         h = random_hermitian(rng, d)
         eig = hermitian_eig(h)
         recon = (eig.unitary * eig.eigenvalues) @ eig.unitary.conj().T
         gram = eig.unitary.conj().T @ eig.unitary
-        worst_eig = max(worst_eig, max_abs(recon - h), max_abs(gram - np.eye(d)))
+        residuals += [max_abs(recon - h), max_abs(gram - np.eye(d))]
+    worst_eig = np.max(residuals)
     assert worst_eig < 1e-12
 
-    worst_gram = 0.0
+    residuals = []
     for d in (2, 3, 4):
         bas = build_hermitian_basis(d)
         stack = bas.stacked()
         gram = np.einsum("iab,jba->ij", stack, stack)
-        worst_gram = max(worst_gram, max_abs(gram - np.eye(d * d)))
+        residuals.append(max_abs(gram - np.eye(d * d)))
+    worst_gram = np.max(residuals)
     assert worst_gram < 1e-12
 
     kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
@@ -256,7 +260,7 @@ def test_criterion_01_choi_level_equivalence():
     # same statement as criterion 1 but for the whole channel, via a
     # basis-spanning set of inputs folded into the Choi comparison
     rng = rng_from(1011)
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         rates = DampingRates(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
         t = float(rng.uniform(0.1, 2.0))
@@ -265,9 +269,7 @@ def test_criterion_01_choi_level_equivalence():
         reduced = reduce_subsystem(kmap, SPLIT, rho2).subsystem_map
         from subkraus.channels import choi_of_any
 
-        worst = max(
-            worst,
-            max_abs(choi_of_any(reduced) - brute_force_reduced_choi(kmap, SPLIT, rho2)),
-        )
+        residuals.append(max_abs(choi_of_any(reduced) - brute_force_reduced_choi(kmap, SPLIT, rho2)))
+    worst = np.max(residuals)
     assert worst < 1e-10
     report(1, "channel-level (spanning-set) equivalence", worst, 1e-10)

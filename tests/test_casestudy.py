@@ -181,9 +181,8 @@ class TestCompositeKraus:
     def test_completeness_on_grid_with_logged_maximum(self):
         rates = DampingRates(0.7, 0.4)
         total = rates.gamma1 + rates.gamma2
-        worst = 0.0
-        for tau in np.linspace(0.0, 1.0, 100):
-            worst = max(worst, completeness_defect(composite_kraus(tau / total, rates)))
+        taus = np.linspace(0.0, 1.0, 100)
+        worst = np.max([completeness_defect(composite_kraus(tau / total, rates)) for tau in taus])
         print(f"measured composite completeness maximum over grid: {worst:.3e}")
         assert worst < 1e-8
 
@@ -293,7 +292,23 @@ class TestCompositeKrausGrid:
 class TestClosedForms:
     def test_initial_values(self):
         b = closed_form_b(0.0, DampingRates(0.3, 1.0), 0.3)
-        np.testing.assert_allclose(b, (2.0, 0.0, 0.0, 0.0), atol=1e-15)
+        assert b == (2.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 0.1, 1.0])
+    def test_values_match_50_digits(self, t):
+        # the closed forms as written, in 50-digit decimal arithmetic; in
+        # floating point 1 - x_p would cancel at small t
+        gamma1, gamma2, a = 0.3, 1.0, 0.3
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            g1, g2, tt, aa = Decimal(gamma1), Decimal(gamma2), Decimal(t), Decimal(a)
+            x1, x2 = (-16 * g1 * tt).exp(), (-16 * g2 * tt).exp()
+            b0 = Decimal("0.5") + (1 - aa) / 2 * x2 * x2 + aa / 2 * x1 * x1 + (1 - aa) * x2 + aa * x1
+            b1 = Decimal("0.5") - (1 - aa) / 2 * x2 * x2 - aa / 2 * x1 * x1
+            b3 = (1 - aa) / 2 * (1 - x2) ** 2 + aa / 2 * (1 - x1) ** 2
+        got = closed_form_b(t, DampingRates(gamma1, gamma2), a)
+        for value, want in zip(got, (b0, b1, b1, b3)):
+            assert abs((Decimal(value) - want) / want) <= Decimal("1e-13")
 
     def test_long_time_limit(self):
         b = closed_form_b(1e4, DampingRates(0.3, 1.0), 0.3)
@@ -437,12 +452,12 @@ class TestReducedChoiSpectrum:
 
         rates = DampingRates(0.7, 0.4)
         total = rates.gamma1 + rates.gamma2
-        worst = 0.0
+        min_eigenvalues = [0.0]
         for tau in np.linspace(0.0, 1.0, 20):
             result = reduce_subsystem(
                 composite_kraus(tau / total, rates), Bipartition(2, 2), qubit_state(0.3)
             )
             verdict = cp_verdict(choi_matrix(result.subsystem_map))
             assert verdict.is_cp
-            worst = min(worst, verdict.min_eigenvalue)
-        assert worst >= -1e-10
+            min_eigenvalues.append(verdict.min_eigenvalue)
+        assert np.min(min_eigenvalues) >= -1e-10

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tp_kraus, rng_from
-from subkraus import casestudy, cli, verify
+from subkraus import casestudy, channels, cli, linalg, verify
 from subkraus.casestudy import DampingRates, closed_form_b, composite_kraus, qubit_state
 from subkraus.channels import (
     DensityMatrix,
@@ -217,9 +217,18 @@ class TestCaseStudySweep:
             "case-study", "--gamma1", "0.7", "--gamma2", "0.4", "--a", "0.0",
             "--t-max", "50", "--steps", "1001", "--out", str(out),
         ]) == 0
-        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
-        assert max(row[5] for row in rows) < 1e-12
-        assert min(row[6] for row in rows) >= -1e-10
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.max(rows[:, 5]) < 1e-12
+        assert np.min(rows[:, 6]) >= -1e-10
+
+    def test_broken_composite_completeness_exits_3(self, tmp_path, monkeypatch, capsys):
+        # past t = 0 the rounding-level defects exceed a zero tolerance
+        monkeypatch.setattr(casestudy, "MODEL_TOL", 0.0)
+        code, out = self.run_sweep(tmp_path, steps="5")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diagnostic: composite operators violate the completeness condition at t=")
+        assert not out.exists()
 
     def test_bad_population_exits_2(self, tmp_path):
         code = cli.main([
@@ -290,6 +299,42 @@ class TestVerify:
         assert "measured=nan bound=nan" in failed[0]
         assert "raised ValueError: synthetic failure" in failed[0]
         assert sum(line.startswith("PASS") for line in lines) == 8
+
+    def test_nan_eigenvalues_fail_the_structural_scope(self, monkeypatch, capsys):
+        solve = linalg.hermitian_eig
+
+        def nan_eigenvalues(h, **kwargs):
+            eig = solve(h, **kwargs)
+            return linalg.EigenDecomposition(np.full_like(eig.eigenvalues, np.nan), eig.unitary)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", nan_eigenvalues)
+        code = cli.main(["verify", "--scope", "structural"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[-1] == "7/9 checks passed"
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 2
+        for line, name in zip(failed, ("eigensolver reconstruction/unitarity", "evolution unitarity")):
+            assert name in line and "measured=nan" in line
+
+    def test_nan_min_eigenvalue_fails_cp_on_grid(self, monkeypatch):
+        verdict_of = channels.cp_verdict
+
+        def nan_at_point_3(choi, tol=channels.CP_EIG_TOL):
+            verdict = verdict_of(choi, tol)
+            lo = verdict.min_eigenvalue.copy()
+            lo[3] = np.nan
+            return verdict._replace(min_eigenvalue=lo)
+
+        monkeypatch.setattr(channels, "cp_verdict", nan_at_point_3)
+        result = verify.check_reduced_cp_on_grid()
+        assert result.passed is False
+        assert np.isnan(result.measured)
+
+    def test_every_check_passes_with_a_bool(self):
+        results = verify.run_checks("all")
+        assert [type(r.passed) for r in results] == [bool] * 18
+        assert all(r.passed for r in results)
 
 
 class TestParser:
