@@ -102,15 +102,18 @@ class KrausMap:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if len(self.operators) == 0:
             raise ValueError("a Kraus map needs at least one operator")
-        ops = []
-        for i, op in enumerate(self.operators):
-            a = as_complex_matrix(op, f"operators[{i}]")
-            if a.shape[0] != self.dim:
-                raise ValueError(
-                    f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
-                )
-            ops.append(a)
-        stack = np.array(ops)
+        try:
+            stack = np.array(self.operators, dtype=complex)
+        except (TypeError, ValueError):
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1:] != (self.dim, self.dim):
+            # name the first bad operator; a list of dim x dim matrices stacks
+            for i, op in enumerate(self.operators):
+                a = as_complex_matrix(op, f"operators[{i}]")
+                if a.shape[0] != self.dim:
+                    raise ValueError(
+                        f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
+                    )
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))

@@ -164,18 +164,21 @@ def hermitian_eig(h, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
     magnitudes = np.abs(pivots)
     v *= (pivots.conj() / magnitudes)[:, None, :]
     v[pivot] = magnitudes  # exactly real, not real up to rounding
-    # lexsort's last key is the primary one: w, then re/im of row 0, row 1, ...
-    keys = np.empty((2 * n + 1, *w.shape))
-    keys[-1] = w
-    keys[-2::-2] = v.real.transpose(1, 0, 2)
-    keys[-3::-2] = v.imag.transpose(1, 0, 2)
-    order = np.lexsort(keys, axis=-1)
-    w = w[batch, order]
-    v = v[batch[:, :, None], cols[:, None], order[:, None, :]]
-    zero = ~a.any(axis=(-2, -1))
+    # eigh's w is ascending, so the tie sort is the identity unless two
+    # eigenvalues of a row are exactly equal
+    if (w[:, 1:] == w[:, :-1]).any():
+        # lexsort's last key is the primary one: w, then re/im of row 0, row 1, ...
+        keys = np.empty((2 * n + 1, *w.shape))
+        keys[-1] = w
+        keys[-2::-2] = v.real.transpose(1, 0, 2)
+        keys[-3::-2] = v.imag.transpose(1, 0, 2)
+        order = np.lexsort(keys, axis=-1)
+        w = w[batch, order]
+        v = v[batch[:, :, None], cols[:, None], order[:, None, :]]
+    zero = ~a.reshape(len(w), n * n).any(axis=1)
     if zero.any():
-        w[zero.reshape(-1)] = 0.0
-        v[zero.reshape(-1)] = np.eye(n)
+        w[zero] = 0.0
+        v[zero] = np.eye(n)
     w = w.reshape(a.shape[:-1])
     v = v.reshape(a.shape)
     return EigenDecomposition(w, v)

@@ -195,11 +195,9 @@ class SeparableEnsemble:
     pairs: tuple[tuple[DensityMatrix, DensityMatrix], ...]
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(nonnegative_real(x, f"weights[{m}]") for m, x in enumerate(self.weights))
         if len(w) == 0 or len(w) != len(self.pairs):
             raise ValueError("need one weight per product pair")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be nonnegative")
         if not abs(sum(w) - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"weights sum to {sum(w)}, expected 1")
         d1 = self.pairs[0][0].dim
@@ -281,21 +279,25 @@ def b_matrix(
     return BMatrix(values, time_label)
 
 
-def _reduce(stack, split, rho_other, keep, truncation):
-    """The reduction pipeline over the leading axes of a (..., k, dim, dim)
-    operator stack; every output carries those axes, and every gate holds at
-    each map of the stack."""
+def _coefficients(stack, split: Bipartition) -> CoefficientTensor:
+    """:func:`c_coefficients` of a (..., k, dim, dim) stack in the shared bases."""
+    return c_coefficients(
+        stack, split, build_hermitian_basis(split.d1), build_hermitian_basis(split.d2)
+    )
+
+
+def _reduce(coeffs, rho_other, keep, truncation):
+    """The reduction pipeline from the coefficients of a (..., k, dim, dim)
+    operator stack; every output carries its leading axes, and every gate
+    holds at each map of the stack. ``c`` does not depend on ``rho_other``,
+    so one tensor serves every traced-out state."""
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep}")
     truncation = nonnegative_real(truncation, "truncation")
-    basis1 = build_hermitian_basis(split.d1)
-    basis2 = build_hermitian_basis(split.d2)
-    coeffs = c_coefficients(stack, split, basis1, basis2)
-    if keep == 1:
-        own_basis, traced_basis = basis1, basis2
-    else:
+    if keep == 2:
         coeffs = coeffs.swapped()
-        own_basis, traced_basis = basis2, basis1
+    own_basis = build_hermitian_basis(coeffs.d1)
+    traced_basis = build_hermitian_basis(coeffs.d2)
     if rho_other.dim != traced_basis.dim:
         raise ValueError(
             f"rho_other has dimension {rho_other.dim}, expected {traced_basis.dim}"
@@ -321,6 +323,17 @@ def _reduce(stack, split, rho_other, keep, truncation):
     return coeffs, b, eigenvalues, mixing, operators, kept
 
 
+def _reduce_map(kmap, coeffs, rho_other, keep, truncation) -> ReductionResult:
+    """:func:`reduce_subsystem` of ``kmap`` from its coefficients."""
+    coeffs, b, eigenvalues, mixing, operators, kept = _reduce(
+        coeffs, rho_other, keep, truncation
+    )
+    subsystem_map = KrausMap(
+        operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
+    )
+    return ReductionResult(coeffs, b, eigenvalues, mixing, subsystem_map)
+
+
 def reduce_subsystem(
     kmap: KrausMap,
     split: Bipartition,
@@ -336,13 +349,8 @@ def reduce_subsystem(
     dropped together with their (numerically zero) operators. ``keep=2`` runs
     the mirrored computation by swapping the coefficient indices.
     """
-    coeffs, b, eigenvalues, mixing, operators, kept = _reduce(
-        kmap.stacked(), split, rho_other, keep, truncation
-    )
-    subsystem_map = KrausMap(
-        operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
-    )
-    return ReductionResult(coeffs, b, eigenvalues, mixing, subsystem_map)
+    coeffs = _coefficients(kmap.stacked(), split)
+    return _reduce_map(kmap, coeffs, rho_other, keep, truncation)
 
 
 def reduce_subsystem_grid(
@@ -365,7 +373,7 @@ def reduce_subsystem_grid(
     if stack.ndim != 4:
         raise ValueError(f"stacks must be (T, k, dim, dim), got shape {stack.shape}")
     _, b, eigenvalues, mixing, operators, kept = _reduce(
-        stack, split, rho_other, keep, truncation
+        _coefficients(stack, split), rho_other, keep, truncation
     )
     return GridReduction(b.values, eigenvalues, mixing, operators, kept)
 
@@ -376,12 +384,15 @@ def reduce_separable_ensemble(
     ensemble: SeparableEnsemble,
     truncation: float = DEFAULT_TRUNCATION,
 ) -> list[ReductionResult]:
-    """One subsystem-1 reduction per ensemble branch (traced factor s2_m)."""
+    """One subsystem-1 reduction per ensemble branch (traced factor s2_m).
+
+    The branches share one coefficient tensor of ``kmap``; each is then
+    exactly the :func:`reduce_subsystem` of its traced factor."""
     if ensemble.pairs[0][0].dim != split.d1 or ensemble.pairs[0][1].dim != split.d2:
         raise ValueError("ensemble dimensions do not match the bipartition")
+    coeffs = _coefficients(kmap.stacked(), split)
     return [
-        reduce_subsystem(kmap, split, sigma2, keep=1, truncation=truncation)
-        for (_, sigma2) in ensemble.pairs
+        _reduce_map(kmap, coeffs, sigma2, 1, truncation) for (_, sigma2) in ensemble.pairs
     ]
 
 

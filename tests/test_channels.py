@@ -117,6 +117,31 @@ class TestKrausMap:
         np.testing.assert_array_equal(from_list.operators[0], np.eye(2))
         np.testing.assert_array_equal(from_stack.stacked()[0], np.eye(2))
 
+    def test_tuple_list_and_array_give_identical_stacks(self):
+        ops = [np.sqrt(w / 2) * SIGMA[i] for i, w in enumerate((1.2, 0.3, 0.3, 0.2))]
+        maps = [KrausMap(2, tuple(ops)), KrausMap(2, ops), KrausMap(2, np.array(ops))]
+        for kmap in maps:
+            assert kmap.stacked().dtype == complex
+            assert kmap.stacked().tobytes() == maps[0].stacked().tobytes()
+            assert kmap == maps[0]
+        real = KrausMap(2, [np.eye(2)])
+        assert real.stacked().dtype == complex
+
+    @pytest.mark.parametrize(
+        "operators, message",
+        [
+            ((np.eye(2), np.eye(3)), r"operators\[1\] has dimension 3, expected 2"),
+            ((np.eye(2), np.ones((2, 3))), r"operators\[1\] must be a square matrix"),
+            ((np.eye(2), np.ones(2)), r"operators\[1\] must be a square matrix"),
+            ([np.eye(3)], r"operators\[0\] has dimension 3, expected 2"),
+            (np.eye(2), r"operators\[0\] must be a square matrix"),
+            (np.eye(3)[None], r"operators\[0\] has dimension 3, expected 2"),
+        ],
+    )
+    def test_bad_operator_named(self, operators, message):
+        with pytest.raises(ValueError, match=message):
+            KrausMap(2, operators, trace_preserving=False)
+
     def test_accepts_ndarray_stack(self):
         stack = np.stack([np.sqrt(w / 2) * SIGMA[i] for i, w in enumerate((1.2, 0.3, 0.3, 0.2))])
         kmap = KrausMap(2, stack)

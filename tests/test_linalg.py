@@ -179,6 +179,62 @@ class TestEvolutionUnitary:
         assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
 
 
+def always_sorted_eig(h):
+    """The eigensolver's conventions with the tie sort applied to every row,
+    whether or not it has a tie: the reference for the tie-only sort."""
+    a = np.asarray(h, dtype=complex)
+    n = a.shape[-1]
+    w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+    w = w.reshape(-1, n)
+    v = v.reshape(-1, n, n)
+    batch = np.arange(len(w))[:, None]
+    cols = np.arange(n)
+    pivot = (batch, np.abs(v).argmax(axis=1), cols)
+    pivots = v[pivot]
+    magnitudes = np.abs(pivots)
+    v *= (pivots.conj() / magnitudes)[:, None, :]
+    v[pivot] = magnitudes
+    keys = np.empty((2 * n + 1, *w.shape))
+    keys[-1] = w
+    keys[-2::-2] = v.real.transpose(1, 0, 2)
+    keys[-3::-2] = v.imag.transpose(1, 0, 2)
+    order = np.lexsort(keys, axis=-1)
+    w = w[batch, order]
+    v = v[batch[:, :, None], cols[:, None], order[:, None, :]]
+    zero = ~a.any(axis=(-2, -1))
+    if zero.any():
+        w[zero.reshape(-1)] = 0.0
+        v[zero.reshape(-1)] = np.eye(n)
+    return w.reshape(a.shape[:-1]), v.reshape(a.shape)
+
+
+class TestTieOnlySort:
+    def assert_matches_reference(self, h):
+        eig = hermitian_eig(h)
+        w, v = always_sorted_eig(h)
+        assert eig.eigenvalues.tobytes() == w.tobytes()
+        assert eig.unitary.tobytes() == v.tobytes()
+
+    def test_stack_without_ties(self):
+        rng = rng_from(5)
+        for d in (2, 3, 4, 6):
+            self.assert_matches_reference(np.array([random_hermitian(rng, d) for _ in range(7)]))
+            self.assert_matches_reference(random_hermitian(rng, d))
+
+    def test_stack_with_ties(self):
+        rng = rng_from(6)
+        mats = [random_hermitian(rng, 4) for _ in range(3)]
+        mats.append(np.diag([2.0, 0.5, 0.5, 0.0]).astype(complex))
+        mats.append(np.diag([3.0, 3.0, 3.0, 3.0]).astype(complex))
+        mats.append(np.zeros((4, 4), dtype=complex))
+        mats.append(np.diag([0.0, -0.0, 1.0, -0.0]).astype(complex))
+        mats.append(np.kron(SIGMA[1], SIGMA[1]))
+        stack = np.array(mats)
+        self.assert_matches_reference(stack)
+        for h in stack:
+            self.assert_matches_reference(h)
+
+
 class TestStackedHermitianEig:
     def stack(self):
         rng = rng_from(31)

@@ -252,6 +252,17 @@ class TestReduceSubsystem:
             reduce_subsystem(kmap, SPLIT22, bad)
         assert err.value.min_eigenvalue < -1e-8
 
+    def test_rounding_negative_eigenvalues_clamped_to_zero(self):
+        # SWAP hands rho_other to subsystem 1; rho_other sits just inside the
+        # -1e-12 floor of DensityMatrix, so raw b has a -5e-13 eigenvalue pair
+        swap = KrausMap(4, (np.eye(4, dtype=complex)[[0, 2, 1, 3]],))
+        rho = DensityMatrix(np.diag([1 + 5e-13, -5e-13]).astype(complex))
+        result = reduce_subsystem(swap, SPLIT22, rho)
+        raw = np.linalg.eigvalsh(result.b.values)
+        np.testing.assert_allclose(raw[:2], [-5e-13, -5e-13], rtol=1e-3)
+        np.testing.assert_array_equal(result.eigenvalues[2:], [0.0, 0.0])
+        assert len(result.subsystem_map.operators) == 2
+
 
 class TestSeparableEnsemble:
     def test_weights_validated(self):
@@ -260,6 +271,45 @@ class TestSeparableEnsemble:
             SeparableEnsemble((0.7, 0.7), ((s, s), (s, s)))
         with pytest.raises(ValueError, match="nonnegative"):
             SeparableEnsemble((1.5, -0.5), ((s, s), (s, s)))
+        bad_weights = [
+            ((True, 0.0), r"weights\[0\] must be a real number"),
+            (("1", 0.0), r"weights\[0\] must be a real number"),
+            ((0.5, 0.5 + 0j), r"weights\[1\] must be a real number"),
+            ((np.nan, 1.0), r"weights\[0\] must be finite"),
+            ((1.0, np.inf), r"weights\[1\] must be finite"),
+        ]
+        for weights, message in bad_weights:
+            with pytest.raises(ValueError, match=message):
+                SeparableEnsemble(weights, ((s, s), (s, s)))
+
+    @pytest.mark.parametrize(
+        "kind, d",
+        [("product", 2), ("product", 3), ("entangling", 2), ("entangling", 3), ("model", 2)],
+    )
+    def test_each_branch_bit_identical_to_reduce_subsystem(self, kind, d):
+        rng = rng_from(2024 + d)
+        if kind == "product":
+            a, b = random_tp_kraus(rng, d, 2), random_tp_kraus(rng, d, 2)
+            kmap = KrausMap(d * d, tuple(np.kron(x, y) for x in a.operators for y in b.operators))
+        elif kind == "entangling":
+            kmap = random_tp_kraus(rng, d * d, 3)
+        else:
+            kmap = composite_kraus(0.17, DampingRates(0.3, 1.0))
+        traced = [random_density(rng, d) for _ in range(3)]
+        if kind == "model":
+            traced += [qubit_state(0.0), qubit_state(1.0)]
+        split = Bipartition(d, d)
+        ensemble = SeparableEnsemble(
+            (1 / len(traced),) * len(traced), tuple((maximally_mixed(d), s) for s in traced)
+        )
+        branches = reduce_separable_ensemble(kmap, split, ensemble)
+        for branch, sigma in zip(branches, traced):
+            alone = reduce_subsystem(kmap, split, sigma)
+            assert np.array_equal(branch.coefficients.values, alone.coefficients.values)
+            assert np.array_equal(branch.b.values, alone.b.values)
+            assert np.array_equal(branch.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(branch.mixing, alone.mixing)
+            assert branch.subsystem_map == alone.subsystem_map
 
     def test_single_term_matches_reduce_subsystem(self):
         rates = DampingRates(0.3, 1.0)
