@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import STRUCTURAL_TOL, as_complex_matrix, require_hermitian
+from .linalg import (
+    STRUCTURAL_TOL, as_complex_matrix, matrix_stack, positive_int, require_hermitian,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,18 +32,12 @@ class OperatorBasis:
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.dim
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {d}")
+        d = positive_int(self.dim, "dimension")
         if len(self.elements) != d * d:
             raise ValueError(
                 f"basis for dimension {d} needs {d * d} elements, got {len(self.elements)}"
             )
-        elems = [as_complex_matrix(e, f"elements[{i}]") for i, e in enumerate(self.elements)]
-        for i, e in enumerate(elems):
-            if e.shape[0] != d:
-                raise ValueError(f"elements[{i}] has dimension {e.shape[0]}, expected {d}")
-        stack = np.array(elems)
+        stack = matrix_stack(self.elements, d, "elements")
         require_hermitian(stack, "element")
         gram = np.einsum("iab,jba->ij", stack, stack)
         if not np.abs(gram - np.eye(d * d)).max() <= STRUCTURAL_TOL:
@@ -49,6 +45,7 @@ class OperatorBasis:
         if not np.abs(stack[0] - np.eye(d) / np.sqrt(d)).max() <= STRUCTURAL_TOL:
             raise ValueError("element 0 must be identity / sqrt(d)")
         stack.setflags(write=False)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "elements", tuple(stack))
 
@@ -64,11 +61,10 @@ class OperatorBasis:
     __hash__ = None
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 2.0 and True miss the entries of 2 and 1
 def build_hermitian_basis(d: int) -> OperatorBasis:
     """Generalized Gell-Mann basis for dimension d, built once per dimension."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = positive_int(d, "dimension")
     stack = np.zeros((d * d, d, d), dtype=complex)
     stack[0] = np.eye(d) / np.sqrt(d)
     rows, cols = np.triu_indices(d, 1)  # the pairs j < k, row by row

@@ -199,10 +199,12 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     t = _check_times(ts)
     # columns p = 0, 1 hold the qubit-p quantities x_p, q_p, p_p, (1 + x_p)^2 / 4
     with np.errstate(over="ignore"):  # a rate times a time past 1e308 decays to exactly 0
-        x = np.exp(-16.0 * np.array([rates.gamma1, rates.gamma2]) * t[:, None])
+        rate_t = -16.0 * np.array([rates.gamma1, rates.gamma2]) * t[:, None]
+        x = np.exp(rate_t)
         eps = np.exp(-8.0 * (rates.gamma1 + rates.gamma2) * t)
-    q = np.sqrt(np.maximum(1.0 - x * x, 0.0)) / 2.0
-    p = (1.0 - x) / 2.0
+        # 1 - x_p and 1 - x_p^2 through expm1: formed from x_p they cancel at small t
+        q = np.sqrt(-np.expm1(2.0 * rate_t)) / 2.0
+        p = -np.expm1(rate_t) / 2.0
 
     # spectral factorization of the coherence Gram matrix [[m11, eps], [eps, m22]]
     m = (1.0 + x) ** 2 / 4.0

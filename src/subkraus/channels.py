@@ -31,6 +31,9 @@ from .linalg import (
     as_complex_stack,
     dagger,
     first_failure,
+    matrix_stack,
+    nonnegative_real,
+    positive_int,
     require_hermitian,
 )
 
@@ -77,6 +80,7 @@ def pure_state(amplitudes) -> DensityMatrix:
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
+    d = positive_int(d, "dimension")
     return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
@@ -98,22 +102,10 @@ class KrausMap:
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", positive_int(self.dim, "dimension"))
         if len(self.operators) == 0:
             raise ValueError("a Kraus map needs at least one operator")
-        try:
-            stack = np.array(self.operators, dtype=complex)
-        except (TypeError, ValueError):
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1:] != (self.dim, self.dim):
-            # name the first bad operator; a list of dim x dim matrices stacks
-            for i, op in enumerate(self.operators):
-                a = as_complex_matrix(op, f"operators[{i}]")
-                if a.shape[0] != self.dim:
-                    raise ValueError(
-                        f"operators[{i}] has dimension {a.shape[0]}, expected {self.dim}"
-                    )
+        stack = matrix_stack(self.operators, self.dim, "operators")
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -219,6 +211,7 @@ class ChoiMatrix:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", positive_int(self.dim, "dimension"))
         m = as_complex_stack(self.matrix, "Choi matrix").copy()
         if m.shape[-1] != self.dim * self.dim:
             raise ValueError(
@@ -274,6 +267,7 @@ def cp_verdict(choi: ChoiMatrix, tol: float = CP_EIG_TOL) -> CpVerdict:
     A stack of Choi matrices gets one ``eigvalsh`` call and arrays of
     verdicts and minimum eigenvalues.
     """
+    tol = nonnegative_real(tol, "tol")
     lo = np.linalg.eigvalsh(choi.matrix)[..., 0]
     if lo.ndim == 0:
         lo = float(lo)
@@ -355,27 +349,29 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
     return out
 
 
-def load_map_json(text: str) -> KrausMap:
-    """Parse a MapFile; the result carries ``trace_preserving=False`` so that
-    completeness can be diagnosed rather than assumed."""
+def _load_document(text: str) -> tuple[dict, int]:
+    """The top-level object of a map or density file and its ``dim``, which
+    must be a positive integer (JSON ``true`` and ``2.0`` are not)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
-    dim = doc.get("dim")
-    if type(dim) is not int or dim < 1:
-        raise ValueError("dim: expected a positive integer")
+    return doc, positive_int(doc.get("dim"), "dim")
+
+
+def load_map_json(text: str) -> KrausMap:
+    """Parse a MapFile; the result carries ``trace_preserving=False`` so that
+    completeness can be diagnosed rather than assumed."""
+    doc, dim = _load_document(text)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("label: expected a string")
     kraus = doc.get("kraus")
     if not isinstance(kraus, list) or len(kraus) == 0:
         raise ValueError("kraus: expected a nonempty list of matrices")
-    ops = tuple(
-        _parse_matrix(rows, dim, f"kraus[{k}]") for k, rows in enumerate(kraus)
-    )
+    ops = [_parse_matrix(rows, dim, f"kraus[{k}]") for k, rows in enumerate(kraus)]
     return KrausMap(dim, ops, trace_preserving=False)
 
 
@@ -385,15 +381,7 @@ def dump_density_json(rho: DensityMatrix) -> str:
 
 
 def load_density_json(text: str) -> DensityMatrix:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("top level: expected an object")
-    dim = doc.get("dim")
-    if type(dim) is not int or dim < 1:
-        raise ValueError("dim: expected a positive integer")
+    doc, dim = _load_document(text)
     if "rho" not in doc:
         raise ValueError("rho: missing")
     return DensityMatrix(_parse_matrix(doc["rho"], dim, "rho"))

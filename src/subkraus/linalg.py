@@ -57,6 +57,31 @@ def nonnegative_real(value, name: str) -> float:
     return float(value)
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` as an int if it is an int or numpy integer of at least 1;
+    bools, floats (2.0 too) and strings raise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def matrix_stack(matrices, dim: int, name: str) -> np.ndarray:
+    """``dim`` x ``dim`` matrices, a sequence or an (n, dim, dim) array, copied
+    into one new complex (n, dim, dim) array by one ``np.array`` call; only if
+    that fails are they walked, to name the first bad one as ``name[i]``."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+        for i, m in enumerate(matrices):
+            a = as_complex_matrix(m, f"{name}[{i}]")
+            if a.shape[0] != dim:
+                raise ValueError(f"{name}[{i}] has dimension {a.shape[0]}, expected {dim}")
+        raise ValueError(f"{name} must be a sequence of {dim}x{dim} matrices")
+    return stack
+
+
 def first_failure(ok: np.ndarray) -> Optional[int]:
     """Flat index of the first False among per-matrix gate verdicts, or None.
 
@@ -111,8 +136,8 @@ def partial_trace(m, d1: int, d2: int, keep: int) -> np.ndarray:
     out, ``keep=2`` the mirror image.
     """
     a = as_complex_matrix(m)
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got {d1}, {d2}")
+    d1 = positive_int(d1, "subsystem dimension d1")
+    d2 = positive_int(d2, "subsystem dimension d2")
     if a.shape[0] != d1 * d2:
         raise ValueError(
             f"dimension mismatch: matrix is {a.shape[0]}-dimensional, "

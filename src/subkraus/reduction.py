@@ -47,6 +47,7 @@ from .linalg import (
     max_abs,
     nonnegative_real,
     partial_trace,
+    positive_int,
     require_hermitian,
 )
 
@@ -83,12 +84,8 @@ class Bipartition:
     d2: int
 
     def __post_init__(self):
-        for name in ("d1", "d2"):
-            d = getattr(self, name)
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-                raise ValueError(
-                    f"subsystem dimension {name} must be a positive integer, got {d!r}"
-                )
+        object.__setattr__(self, "d1", positive_int(self.d1, "subsystem dimension d1"))
+        object.__setattr__(self, "d2", positive_int(self.d2, "subsystem dimension d2"))
 
     @property
     def dim(self) -> int:
@@ -297,12 +294,7 @@ def _reduce(coeffs, rho_other, keep, truncation):
     if keep == 2:
         coeffs = coeffs.swapped()
     own_basis = build_hermitian_basis(coeffs.d1)
-    traced_basis = build_hermitian_basis(coeffs.d2)
-    if rho_other.dim != traced_basis.dim:
-        raise ValueError(
-            f"rho_other has dimension {rho_other.dim}, expected {traced_basis.dim}"
-        )
-    b = b_matrix(coeffs, rho_other, traced_basis)
+    b = b_matrix(coeffs, rho_other, build_hermitian_basis(coeffs.d2))
     eig = hermitian_eig(b.values)
     lowest = eig.eigenvalues[..., 0]
     bad = first_failure(lowest >= -B_EIG_DIAGNOSTIC_TOL)

@@ -261,6 +261,39 @@ class TestCompositeKrausGrid:
             assert got.imag == 0.0
             assert abs((Decimal(got.real) - want) / want) <= Decimal("1e-13")
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 2.85, 1e3])
+    def test_damping_operators_match_50_digits(self, t):
+        # operators 0-5 hold q_p = sqrt(1 - x_p^2) / 2 and p_p = (1 - x_p) / 2
+        # with x_p = exp(-16 gamma_p t); formed from x_p in floating point
+        # they cancel at small t. t = 1e3 puts gamma2 t at 1e3, where
+        # x_p underflows and both are 1/2.
+        gamma1, gamma2 = 0.3, 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            q, p = [], []
+            for gamma in (gamma1, gamma2):
+                x = (-16 * Decimal(gamma) * Decimal(t)).exp()
+                q.append((1 - x * x).sqrt() / 2)
+                p.append((1 - x) / 2)
+        # (operator, row, column) -> (coefficient, value): the nonzero entries
+        want = {
+            (0, 1, 3): (1j, q[1]), (0, 3, 1): (-1j, q[1]),
+            (1, 1, 3): (-1, q[1]), (1, 3, 1): (-1, q[1]),
+            (2, 0, 2): (1, q[0]), (2, 2, 0): (1, q[0]),
+            (3, 0, 2): (-1j, q[0]), (3, 2, 0): (1j, q[0]),
+            (4, 1, 1): (-1, p[1]), (4, 3, 3): (1, p[1]),
+            (5, 0, 0): (1, p[0]), (5, 2, 2): (-1, p[0]),
+        }
+        ops = composite_kraus_grid([t], DampingRates(gamma1, gamma2))[0]
+        for index, z in np.ndenumerate(ops[:6]):
+            if index not in want:
+                assert z == 0.0
+                continue
+            coefficient, value = want[index]
+            got = (z / coefficient).real
+            assert (z / coefficient).imag == 0.0
+            assert abs((Decimal(got) - value) / value) <= Decimal("1e-13"), index
+
     @pytest.mark.parametrize(
         "ts,message",
         [

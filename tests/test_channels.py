@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from helpers import (
     random_unitary,
     rng_from,
 )
+from subkraus.basis import OperatorBasis, build_hermitian_basis
 from subkraus.channels import (
     ChoiMatrix,
     DensityMatrix,
@@ -336,6 +339,20 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
         assert loaded.trace_preserving is False
 
+    @pytest.mark.parametrize("trace_preserving", [True, False])
+    def test_every_accepted_map_round_trips(self, trace_preserving):
+        for dim in (1, 2, 3, np.int64(2), np.int32(3), True, False, 2.0, np.float64(1.0), "2", 0):
+            d = max(int(dim), 1)
+            ops = random_tp_kraus(rng_from(d), d, 2).operators
+            try:
+                kmap = KrausMap(dim, ops, trace_preserving)
+            except ValueError:
+                continue
+            text = dump_map_json(kmap)
+            loaded = load_map_json(text)
+            assert loaded == KrausMap(kmap.dim, ops, trace_preserving=False)
+            assert dump_map_json(loaded) == text
+
     def test_density_roundtrip(self):
         rho = random_density(rng_from(13), 3)
         loaded = load_density_json(dump_density_json(rho))
@@ -434,3 +451,38 @@ def test_completeness_defect_matches_operator_loop(seed):
     raw = KrausMap(3, tuple(0.9 * op for op in kmap.operators), trace_preserving=False)
     direct = sum(op.conj().T @ op for op in raw.operators) - np.eye(3)
     assert abs(completeness_defect(raw) - np.abs(direct).max()) < 1e-14
+
+
+IDENTITY_CHOI = choi_of_any(KrausMap(2, (np.eye(2, dtype=complex),)))
+DIM_CONSTRUCTORS = {
+    "KrausMap": lambda dim: KrausMap(dim, (np.eye(2, dtype=complex),)),
+    "ChoiMatrix": lambda dim: ChoiMatrix(IDENTITY_CHOI, dim),
+    "OperatorBasis": lambda dim: OperatorBasis(dim, build_hermitian_basis(2).elements),
+    "build_hermitian_basis": build_hermitian_basis,
+    "maximally_mixed": maximally_mixed,
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [True, 2.0, np.float64(2.0), "2"], ids=["bool", "float", "float64", "str"]
+)
+@pytest.mark.parametrize("constructor", DIM_CONSTRUCTORS)
+def test_dimension_must_be_a_positive_integer(constructor, bad):
+    with pytest.raises(ValueError, match=re.escape(f"dimension must be a positive integer, got {bad!r}")):
+        DIM_CONSTRUCTORS[constructor](bad)
+
+
+@pytest.mark.parametrize("constructor", ["KrausMap", "ChoiMatrix", "OperatorBasis", "build_hermitian_basis"])
+def test_numpy_integer_dimension_is_stored_as_int(constructor):
+    built = DIM_CONSTRUCTORS[constructor](np.int64(2))
+    assert type(built.dim) is int and built.dim == 2
+
+
+@pytest.mark.parametrize(
+    "tol", [-1.0, -1e-300, np.nan, np.inf, True, "1e-10"],
+    ids=["negative", "tiny-negative", "nan", "inf", "bool", "str"],
+)
+def test_cp_verdict_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be"):
+        cp_verdict(ChoiMatrix(IDENTITY_CHOI, 2), tol=tol)
+    assert cp_verdict(ChoiMatrix(IDENTITY_CHOI, 2), tol=0.0).is_cp

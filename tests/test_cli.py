@@ -422,6 +422,15 @@ class TestNonFiniteAndBoolInput:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "-0.5"])
+    def test_negative_choi_tol_rejected(self, value, tmp_path, capsys):
+        map_path = tmp_path / "ident.json"
+        map_path.write_text(dump_map_json(KrausMap(2, (np.eye(2, dtype=complex),))))
+        out_path = tmp_path / "choi.json"
+        assert exit_code(["choi", "--map", str(map_path), "--tol", value, "--out", str(out_path)]) == 2
+        assert f"error: tol must be finite and nonnegative, got {float(value)}" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestRoundTrips:
     def test_mapfile_roundtrip_through_cli_output(self, case_study_files, tmp_path):

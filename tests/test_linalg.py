@@ -8,7 +8,9 @@ from subkraus.linalg import (
     EigenDecomposition,
     evolution_unitary,
     hermitian_eig,
+    matrix_stack,
     partial_trace,
+    positive_int,
     require_hermitian,
     tensor_product,
 )
@@ -88,6 +90,35 @@ class TestPartialTrace:
     def test_bad_selector_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), 2, 2, keep=3)
+
+    @pytest.mark.parametrize("d1,d2,name", [(True, 4, "d1"), (2, 2.0, "d2"), (-2, -2, "d1")])
+    def test_mistyped_dimension_named(self, d1, d2, name):
+        # each of these has d1 * d2 == 4, so only the dimension rule catches it
+        with pytest.raises(ValueError, match=f"subsystem dimension {name} must be a positive"):
+            partial_trace(np.eye(4), d1, d2, keep=1)
+
+
+class TestInputRules:
+    def test_positive_int(self):
+        assert positive_int(np.int64(3), "n") == 3
+        assert type(positive_int(np.int64(3), "n")) is int
+        for bad in (0, -1, True, np.bool_(True), 1.0, "1", None, 1 + 0j):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                positive_int(bad, "n")
+
+    def test_matrix_stack_copies_and_names_the_bad_matrix(self):
+        ops = [np.eye(2), SIGMA[1]]
+        stack = matrix_stack(ops, 2, "ops")
+        assert stack.dtype == complex and stack.shape == (2, 2, 2)
+        ops[0][0, 0] = 5.0
+        assert stack[0, 0, 0] == 1.0
+        with pytest.raises(ValueError, match=r"ops\[1\] has dimension 3, expected 2"):
+            matrix_stack([np.eye(2), np.eye(3)], 2, "ops")
+        with pytest.raises(ValueError, match=r"ops\[0\] must be a square matrix"):
+            matrix_stack([np.ones((2, 3))], 2, "ops")
+        # an iterable that np.array cannot stack, although each matrix is fine
+        with pytest.raises(ValueError, match="ops must be a sequence of 2x2 matrices"):
+            matrix_stack({0: np.eye(2)}.values(), 2, "ops")
 
 
 class TestHermitianEig:
