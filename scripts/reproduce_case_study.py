@@ -49,7 +49,8 @@ def run(config: SweepConfig) -> int:
         return code
     print(f"wrote {config.steps}-row sweep to {config.out}")
 
-    ts = np.linspace(0.0, config.t_max, config.steps)
+    # the landmarks describe the CSV's own time grid
+    ts = np.loadtxt(config.out, delimiter=",", skiprows=1, usecols=0, ndmin=1)
     worst_defect = float(completeness_defect(composite_kraus_grid(ts, rates)).max())
     worst_b, _, worst_dist = (float(r.max()) for r in closed_form_residuals(ts, rates, config.a))
 

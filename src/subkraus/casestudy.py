@@ -28,6 +28,7 @@ The operators are evaluated for a whole time grid at once by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,11 +164,20 @@ def damping_rates(params: ModelParams, convention: str = "standard") -> DampingR
     return DampingRates(rates[0], rates[1])
 
 
+def _population(a) -> float:
+    """``a`` as a float if it is a real number in [0, 1]; bools and strings
+    raise a ValueError naming the population parameter."""
+    if isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real):
+        raise ValueError(f"population parameter must be a real number, got {a!r}")
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"population parameter must lie in [0, 1], got {a}")
+    return float(a)
+
+
 def qubit_state(a: float) -> DensityMatrix:
     """Pure qubit state sqrt(a)|+> + sqrt(1-a)|->, with |+> the upper
     z eigenstate (first basis vector)."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"population parameter must lie in [0, 1], got {a}")
+    a = _population(a)
     v = np.array([math.sqrt(a), math.sqrt(1.0 - a)], dtype=complex)
     return DensityMatrix(np.outer(v, v))
 
@@ -201,10 +211,17 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
     with np.errstate(over="ignore"):  # a rate times a time past 1e308 decays to exactly 0
         rate_t = -16.0 * np.array([rates.gamma1, rates.gamma2]) * t[:, None]
         x = np.exp(rate_t)
-        eps = np.exp(-8.0 * (rates.gamma1 + rates.gamma2) * t)
+        eps_t = -8.0 * (rates.gamma1 + rates.gamma2) * t
+        eps = np.exp(eps_t)
         # 1 - x_p and 1 - x_p^2 through expm1: formed from x_p they cancel at small t
         q = np.sqrt(-np.expm1(2.0 * rate_t)) / 2.0
         p = -np.expm1(rate_t) / 2.0
+        # det M = [(1 - u1 u2)^2 + (u1 - u2)^2] / 4 * [(1 + x1)(1 + x2) / 4 + eps]
+        # with u_p = exp(-8 gamma_p t), both differences through expm1
+        u_minus_1 = np.expm1(rate_t / 2.0)
+        det = (np.expm1(eps_t) ** 2 + (u_minus_1[:, 0] - u_minus_1[:, 1]) ** 2) / 4.0 * (
+            (1.0 + x[:, 0]) * (1.0 + x[:, 1]) / 4.0 + eps
+        )
 
     # spectral factorization of the coherence Gram matrix [[m11, eps], [eps, m22]]
     m = (1.0 + x) ** 2 / 4.0
@@ -220,6 +237,8 @@ def composite_kraus_grid(ts, rates: DampingRates) -> np.ndarray:
             f"(gamma1={rates.gamma1}, gamma2={rates.gamma2}): "
             f"eigenvalue {lam[bad, 0]:.6e}"
         )
+    # the difference above cancels at small t; lam_minus lam_plus = det M does not
+    lam[:, 0] = det / lam[:, 1]
     # Column 0 is lam_minus with eigenvector (eps, -(R + delta) / 2), column 1
     # lam_plus with (-eps, -(R - delta) / 2). Where R + sign * delta would
     # cancel, the same vector is taken from the other row of M - lam, as
@@ -273,8 +292,7 @@ def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float
     Pauli channel.
     """
     nonnegative_real(t, "time t")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"population parameter must lie in [0, 1], got {a}")
+    a = _population(a)
     x1 = math.exp(-16.0 * rates.gamma1 * t)
     x2 = math.exp(-16.0 * rates.gamma2 * t)
     b0 = 0.5 + (1.0 - a) / 2.0 * x2 * x2 + a / 2.0 * x1 * x1 + (1.0 - a) * x2 + a * x1

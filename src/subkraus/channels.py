@@ -109,8 +109,12 @@ class KrausMap:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
-        if self.trace_preserving:
+        if self.trace_preserving:  # a non-finite operator fails this gate too
             require_complete(self, "operators")
+        else:
+            bad = first_failure(np.isfinite(stack).all(axis=(1, 2)))
+            if bad is not None:
+                raise ValueError(f"operators[{bad}] must have finite entries")
 
     @classmethod
     def from_operators(cls, operators, trace_preserving: bool = True) -> "KrausMap":
@@ -290,21 +294,19 @@ def channel_distance(a: KrausMap, b: KrausMap) -> float:
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+FIELD17 = "%.17g"  # the 17-significant-digit field of every wire format
+
+
 def fmt17(x: float) -> str:
     """A float at 17 significant digits, the precision of every wire format."""
-    return format(float(x), ".17g")
-
-
-def _entry(z: complex) -> str:
-    return f"[{fmt17(z.real)},{fmt17(z.imag)}]"
+    return FIELD17 % float(x)
 
 
 def matrix_json(m: np.ndarray) -> str:
-    """A matrix as JSON rows of ``[re, im]`` pairs."""
-    rows = []
-    for row in m:
-        rows.append("[" + ",".join(_entry(z) for z in row) + "]")
-    return "[" + ",".join(rows) + "]"
+    """A matrix as JSON rows of ``[re, im]`` pairs, formatted a row at a time."""
+    row = "[" + ",".join([f"[{FIELD17},{FIELD17}]"] * m.shape[1]) + "]"
+    pairs = np.stack((m.real, m.imag), -1).reshape(len(m), -1).tolist()
+    return "[" + ",".join([row % tuple(r) for r in pairs]) + "]"
 
 
 def dump_map_json(kmap: KrausMap, label: Optional[str] = None) -> str:
@@ -331,7 +333,6 @@ def _is_finite(x) -> bool:
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f"{where}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"{where}[{r}]: expected {dim} entries")
@@ -345,15 +346,16 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
                 raise ValueError(f"{where}[{r}][{c}]: expected a [re, im] pair")
             if not all(_is_finite(x) for x in entry):
                 raise ValueError(f"{where}[{r}][{c}]: entries must be finite, got {entry}")
-            out[r, c] = complex(entry[0], entry[1])
-    return out
+    # every entry checked: the (dim, dim, 2) floats are the complex matrix
+    return np.array(rows, dtype=float).view(complex)[..., 0]
 
 
 def _load_document(text: str) -> tuple[dict, int]:
     """The top-level object of a map or density file and its ``dim``, which
     must be a positive integer (JSON ``true`` and ``2.0`` are not)."""
     try:
-        doc = json.loads(text)
+        # JSON -0 is an integer token; read as -0.0 it keeps the sign fmt17 wrote
+        doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import casestudy, channels, reduction, verify
-from .channels import fmt17, matrix_json
+from .channels import FIELD17, fmt17, matrix_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,6 +33,7 @@ EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
 SWEEP_HEADER = "t,b0,b1,b2,b3,trace_defect,choi_min_eig,offdiag_B_max"
+SWEEP_ROW = ",".join([FIELD17] * len(SWEEP_HEADER.split(",")))
 # Grid points per batched pass of case-study; bounds the numpy arrays of one
 # pass, while the time grid and the CSV lines still grow with --steps.
 SWEEP_CHUNK = 1024
@@ -116,7 +117,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         rows = np.column_stack(
             (chunk, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max)
         )
-        lines.extend(",".join(map(fmt17, row)) for row in rows)
+        lines.extend(SWEEP_ROW % tuple(row) for row in rows.tolist())
     Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

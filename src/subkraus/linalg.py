@@ -65,6 +65,16 @@ def positive_int(value, name: str) -> int:
     return int(value)
 
 
+def subsystem_keep(keep) -> int:
+    """``keep`` as an int if it is the int or numpy integer 1 or 2; bools,
+    floats (1.0 too) and strings raise a ValueError naming ``keep``."""
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)):
+        raise ValueError(f"keep must be an integer, got {keep!r}")
+    if keep not in (1, 2):
+        raise ValueError(f"keep must be 1 or 2, got {keep}")
+    return int(keep)
+
+
 def matrix_stack(matrices, dim: int, name: str) -> np.ndarray:
     """``dim`` x ``dim`` matrices, a sequence or an (n, dim, dim) array, copied
     into one new complex (n, dim, dim) array by one ``np.array`` call; only if
@@ -136,6 +146,7 @@ def partial_trace(m, d1: int, d2: int, keep: int) -> np.ndarray:
     out, ``keep=2`` the mirror image.
     """
     a = as_complex_matrix(m)
+    keep = subsystem_keep(keep)
     d1 = positive_int(d1, "subsystem dimension d1")
     d2 = positive_int(d2, "subsystem dimension d2")
     if a.shape[0] != d1 * d2:
@@ -144,11 +155,7 @@ def partial_trace(m, d1: int, d2: int, keep: int) -> np.ndarray:
             f"but d1*d2 = {d1 * d2}"
         )
     blocks = a.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", blocks)
-    if keep == 2:
-        return np.einsum("ikil->kl", blocks)
-    raise ValueError(f"keep must be 1 or 2, got {keep}")
+    return np.einsum("ikjk->ij" if keep == 1 else "ikil->kl", blocks)
 
 
 @dataclass(frozen=True)

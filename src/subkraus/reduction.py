@@ -49,6 +49,7 @@ from .linalg import (
     partial_trace,
     positive_int,
     require_hermitian,
+    subsystem_keep,
 )
 
 # B eigenvalues below this are treated as a diagnostic failure rather than
@@ -288,8 +289,7 @@ def _reduce(coeffs, rho_other, keep, truncation):
     operator stack; every output carries its leading axes, and every gate
     holds at each map of the stack. ``c`` does not depend on ``rho_other``,
     so one tensor serves every traced-out state."""
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
+    keep = subsystem_keep(keep)
     truncation = nonnegative_real(truncation, "truncation")
     if keep == 2:
         coeffs = coeffs.swapped()

@@ -261,6 +261,41 @@ class TestCompositeKrausGrid:
             assert got.imag == 0.0
             assert abs((Decimal(got.real) - want) / want) <= Decimal("1e-13")
 
+    @pytest.mark.parametrize("rates", [(0.3, 1.0), (0.7, 0.4), (0.5, 0.5)])
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-3, 2.85])
+    def test_diagonal_operators_match_50_digits(self, t, rates):
+        # operators 6 and 7 are sqrt(lam_-/+) times the unit eigenvectors of M;
+        # lam_minus ~ t^2 at small t, where (m11 + m22 - R) / 2 cancels to
+        # nothing in floating point. Past gamma t ~ 90 eps underflows and the
+        # eigenvectors follow the decohered convention, so that is left out.
+        gamma1, gamma2 = rates
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            g1, g2, tt = Decimal(gamma1), Decimal(gamma2), Decimal(t)
+            x1, x2 = (-16 * g1 * tt).exp(), (-16 * g2 * tt).exp()
+            eps = (-8 * (g1 + g2) * tt).exp()
+            m11, m22 = (1 + x1) ** 2 / 4, (1 + x2) ** 2 / 4
+            delta = m11 - m22
+            big_r = (delta * delta + 4 * eps * eps).sqrt()
+            lam = ((m11 + m22 - big_r) / 2, (m11 + m22 + big_r) / 2)
+            # the eigenvector components each operator puts on |00>, |10> and
+            # on |01>, |11>, taken from the row of M - lam that does not cancel
+            vectors = (
+                (eps, -(big_r + delta) / 2) if delta >= 0 else ((big_r - delta) / 2, -eps),
+                (-eps, -(big_r - delta) / 2) if delta <= 0 else (-(big_r + delta) / 2, -eps),
+            )
+            want = []
+            for lam_k, (first, second) in zip(lam, vectors):
+                scale = lam_k.sqrt() / (first * first + second * second).sqrt()
+                want.append((first * scale, second * scale))
+        ops = composite_kraus_grid([t], DampingRates(gamma1, gamma2))[0]
+        for k, (first, second) in enumerate(want):
+            op = ops[6 + k]
+            assert np.count_nonzero(op - np.diag(np.diag(op))) == 0
+            for got, value in zip(np.diag(op), (first, second, first, second)):
+                assert got.imag == 0.0
+                assert abs((Decimal(got.real) - value) / value) <= Decimal("1e-13"), (k, got)
+
     @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 2.85, 1e3])
     def test_damping_operators_match_50_digits(self, t):
         # operators 0-5 hold q_p = sqrt(1 - x_p^2) / 2 and p_p = (1 - x_p) / 2
@@ -418,6 +453,13 @@ class TestClosedForms:
             qubit_state(1.2)
         with pytest.raises(ValueError):
             closed_form_b(0.1, DampingRates(0.3, 1.0), -0.1)
+        for a in (True, np.bool_(False), "0.5", None):
+            with pytest.raises(ValueError, match="population parameter must be a real number"):
+                qubit_state(a)
+            with pytest.raises(ValueError, match="population parameter must be a real number"):
+                closed_form_b(0.1, DampingRates(0.3, 1.0), a)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
+            qubit_state(math.nan)
 
 
 class TestPictureTransforms:

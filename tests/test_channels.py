@@ -87,6 +87,14 @@ class TestKrausMap:
         kmap = KrausMap(2, (0.5 * np.eye(2, dtype=complex),), trace_preserving=False)
         assert completeness_defect(kmap) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_trace_preserving_rejects_non_finite_operator(self, bad):
+        ops = (np.eye(2, dtype=complex), np.diag([0.5, bad]))
+        with pytest.raises(ValueError, match=r"operators\[1\] must have finite entries"):
+            KrausMap(2, ops, trace_preserving=False)
+        with pytest.raises(ValueError, match=r"operators\[0\]"):
+            KrausMap(1, [[[bad]]], trace_preserving=False)
+
     def test_from_operators(self):
         kmap = KrausMap.from_operators([np.eye(3, dtype=complex)])
         assert kmap.dim == 3
@@ -352,6 +360,22 @@ class TestSerialization:
             loaded = load_map_json(text)
             assert loaded == KrausMap(kmap.dim, ops, trace_preserving=False)
             assert dump_map_json(loaded) == text
+
+    def test_negative_zero_round_trips(self):
+        # fmt17(-0.0) writes the JSON integer token -0, which must read back as -0.0
+        ops = np.array([[[1.0, -0.0], [0.0, complex(-0.0, -0.0)]], [[-0.0, 0.0], [0.0, 1.0]]])
+        text = dump_map_json(KrausMap(2, ops, trace_preserving=False))
+        assert "[-0,0]" in text and "[-0,-0]" in text
+        loaded = load_map_json(text)
+        assert np.signbit(loaded.stacked().real).sum() == 3
+        assert np.signbit(loaded.stacked().imag).sum() == 1
+        assert dump_map_json(loaded) == text
+        text = '{"dim":2,"kraus":[[[[1,0],[-0,0]],[[0,0],[1,-0]]]]}\n'
+        assert dump_map_json(load_map_json(text)) == text
+        rho = '{"dim":1,"rho":[[[1,-0]]]}\n'
+        assert dump_density_json(load_density_json(rho)) == rho
+        with pytest.raises(ValueError, match=r"dim must be a positive integer, got -0\.0"):
+            load_map_json('{"dim":-0,"kraus":[[[[1,0]]]]}')
 
     def test_density_roundtrip(self):
         rho = random_density(rng_from(13), 3)

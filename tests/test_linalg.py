@@ -90,6 +90,10 @@ class TestPartialTrace:
     def test_bad_selector_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), 2, 2, keep=3)
+        for keep in (True, np.bool_(True), 1.0, np.float64(2.0), "1"):
+            with pytest.raises(ValueError, match="keep must be an integer"):
+                partial_trace(np.eye(4), 2, 2, keep=keep)
+        np.testing.assert_array_equal(partial_trace(np.eye(4), 2, 2, keep=np.int64(2)), 2 * np.eye(2))
 
     @pytest.mark.parametrize("d1,d2,name", [(True, 4, "d1"), (2, 2.0, "d2"), (-2, -2, "d1")])
     def test_mistyped_dimension_named(self, d1, d2, name):

@@ -241,6 +241,9 @@ class TestReduceSubsystem:
         kmap = composite_kraus(0.1, DampingRates(0.5, 0.5))
         with pytest.raises(ValueError):
             reduce_subsystem(kmap, SPLIT22, maximally_mixed(2), keep=0)
+        for keep in (True, np.bool_(True), 1.0, np.float64(2.0), "1"):
+            with pytest.raises(ValueError, match="keep must be an integer"):
+                reduce_subsystem(kmap, SPLIT22, maximally_mixed(2), keep=keep)
 
     def test_negative_b_diagnostic(self):
         # a non-state traced factor is the only way to drive b negative;
