@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    STRUCTURAL_TOL, as_complex_matrix, matrix_stack, positive_int, require_hermitian,
+    STRUCTURAL_TOL, as_complex_matrix, complex_array, matrix_stack, positive_int,
+    require_hermitian,
 )
 
 
@@ -93,7 +94,7 @@ def expand(m, basis: OperatorBasis) -> np.ndarray:
 
 def reconstruct(coefficients, basis: OperatorBasis) -> np.ndarray:
     """Sum c_i g_i; inverse of :func:`expand`."""
-    c = np.asarray(coefficients, dtype=complex)
+    c = complex_array(coefficients, "coefficients")
     if c.shape != (basis.dim * basis.dim,):
         raise ValueError(
             f"expected {basis.dim * basis.dim} coefficients, got shape {c.shape}"

@@ -28,7 +28,6 @@ The operators are evaluated for a whole time grid at once by
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,10 @@ from .channels import DensityMatrix, KrausMap, require_complete
 from .linalg import (
     MODEL_TOL,
     evolution_unitary,
+    finite_real,
     first_failure,
     nonnegative_real,
+    real_number,
     tensor_product,
 )
 
@@ -73,10 +74,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega", "beta", "temperature", "alpha", "nu_c"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"model parameter {name} must be finite, got {value}")
-        if math.isnan(self.nu_max):
+            finite_real(getattr(self, name), f"model parameter {name}")
+        if math.isnan(real_number(self.nu_max, "model parameter nu_max")):
             raise ValueError(f"model parameter nu_max must not be NaN, got {self.nu_max}")
         if self.alpha < 0:
             raise ValueError(f"model parameter alpha must be nonnegative, got {self.alpha}")
@@ -105,7 +104,7 @@ class DampingRates:
 
     def tau(self, t: float) -> float:
         """Dimensionless time (gamma1 + gamma2) * t."""
-        return (self.gamma1 + self.gamma2) * t
+        return (self.gamma1 + self.gamma2) * finite_real(t, "time t")
 
     @property
     def asymmetry(self) -> float:
@@ -124,6 +123,8 @@ def bose_occupation(nu: float, temperature: float, convention: str = "standard")
     for positive frequency and temperature; it exists only so the consequence
     can be inspected, never as a default.
     """
+    finite_real(nu, "frequency")
+    finite_real(temperature, "temperature")
     if nu <= 0:
         raise ValueError(f"frequency must be positive, got {nu}")
     if temperature <= 0:
@@ -140,6 +141,9 @@ def bose_occupation(nu: float, temperature: float, convention: str = "standard")
 
 def ohmic_spectral_density(nu: float, alpha: float, nu_c: float) -> float:
     """J(nu) = alpha * nu * exp(-nu / nu_c)."""
+    finite_real(nu, "frequency")
+    finite_real(alpha, "alpha")
+    finite_real(nu_c, "spectral cutoff")
     if nu_c <= 0:
         raise ValueError(f"spectral cutoff must be positive, got {nu_c}")
     return alpha * nu * math.exp(-nu / nu_c)
@@ -167,11 +171,10 @@ def damping_rates(params: ModelParams, convention: str = "standard") -> DampingR
 def _population(a) -> float:
     """``a`` as a float if it is a real number in [0, 1]; bools and strings
     raise a ValueError naming the population parameter."""
-    if isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real):
-        raise ValueError(f"population parameter must be a real number, got {a!r}")
-    if not 0.0 <= a <= 1.0:
+    x = real_number(a, "population parameter")
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"population parameter must lie in [0, 1], got {a}")
-    return float(a)
+    return x
 
 
 def qubit_state(a: float) -> DensityMatrix:
@@ -322,6 +325,8 @@ def composite_hamiltonian(omega: float, beta: float) -> np.ndarray:
 
     Diagonal with entries omega + beta/4, -beta/4, -beta/4, -omega + beta/4.
     """
+    finite_real(omega, "omega")
+    finite_real(beta, "beta")
     eye = np.eye(2, dtype=complex)
     return (
         omega / 2.0 * (tensor_product(_SIGMA_Z, eye) + tensor_product(eye, _SIGMA_Z))
@@ -342,6 +347,8 @@ def to_schrodinger(
     single-qubit one and is only meaningful for non-interacting qubits, so
     it requires beta = 0. Completeness is unchanged either way.
     """
+    finite_real(omega, "omega")
+    finite_real(beta, "beta")
     if subsystem == "composite":
         if kmap.dim != 4:
             raise ValueError(f"composite transform needs a 4-dimensional map, got {kmap.dim}")

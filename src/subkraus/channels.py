@@ -29,6 +29,7 @@ from .linalg import (
     STRUCTURAL_TOL,
     as_complex_matrix,
     as_complex_stack,
+    complex_array,
     dagger,
     first_failure,
     matrix_stack,
@@ -67,7 +68,7 @@ class DensityMatrix:
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Projector onto the given state vector (normalized if necessary)."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    v = complex_array(amplitudes, "amplitudes").reshape(-1)
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"amplitudes[{bad[0]}] must be finite, got {v[bad[0]]}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import casestudy, channels, reduction, verify
 from .channels import FIELD17, fmt17, matrix_json
+from .linalg import finite_real
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,12 +57,9 @@ def _load_checked_map(path: str) -> channels.KrausMap:
 def _finite_float(text: str) -> float:
     """argparse type for float flags: NaN and infinities are invalid input."""
     try:
-        value = float(text)
+        return finite_real(float(text), "value")
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 class _Diagnostic(RuntimeError):

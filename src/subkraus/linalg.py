@@ -26,9 +26,19 @@ STRUCTURAL_TOL = 1e-12
 MODEL_TOL = 1e-8
 
 
+def complex_array(m, name: str) -> np.ndarray:
+    """``m`` as a complex array if it holds numbers (an integer, real or
+    complex dtype); bool, string and object arrays raise a ValueError naming
+    ``name``. The one rule for arrays that come from outside the package."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be an array of numbers, got dtype {a.dtype}")
+    return a.astype(complex, copy=False)
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex array, rejecting anything else."""
-    a = np.asarray(m, dtype=complex)
+    a = complex_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -36,7 +46,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex square matrix or (..., n, n) stack of them."""
-    a = np.asarray(m, dtype=complex)
+    a = complex_array(m, name)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(
             f"{name} must be a square matrix or a stack of them, got shape {a.shape}"
@@ -44,17 +54,35 @@ def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def nonnegative_real(value, name: str) -> float:
-    """``value`` as a float if it is a finite, nonnegative real number.
+def real_number(value, name: str) -> float:
+    """``value`` as a float if it is a real number (a ``numbers.Real``).
 
-    Booleans are rejected although Python counts them as integers. The
-    message names the value as ``name``.
+    Booleans are rejected although Python counts them as integers, and so
+    are strings; the message names the value as ``name``.
     """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    # a float (np.float64 too) is a real number; testing it first skips the
+    # much slower numbers.Real ABC check
+    if not isinstance(value, float) and (
+        isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+    ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return float(value)
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number."""
+    x = real_number(value, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return x
+
+
+def nonnegative_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite, nonnegative real number."""
+    x = real_number(value, name)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return x
 
 
 def positive_int(value, name: str) -> int:
@@ -77,10 +105,10 @@ def subsystem_keep(keep) -> int:
 
 def matrix_stack(matrices, dim: int, name: str) -> np.ndarray:
     """``dim`` x ``dim`` matrices, a sequence or an (n, dim, dim) array, copied
-    into one new complex (n, dim, dim) array by one ``np.array`` call; only if
-    that fails are they walked, to name the first bad one as ``name[i]``."""
+    into one new complex (n, dim, dim) array; only if they do not coerce to
+    one are they walked, to name the first bad one as ``name[i]``."""
     try:
-        stack = np.array(matrices, dtype=complex)
+        stack = complex_array(matrices, name)
     except (TypeError, ValueError):
         stack = None
     if stack is None or stack.ndim != 3 or stack.shape[1:] != (dim, dim):
@@ -89,7 +117,7 @@ def matrix_stack(matrices, dim: int, name: str) -> np.ndarray:
             if a.shape[0] != dim:
                 raise ValueError(f"{name}[{i}] has dimension {a.shape[0]}, expected {dim}")
         raise ValueError(f"{name} must be a sequence of {dim}x{dim} matrices")
-    return stack
+    return stack.copy()
 
 
 def first_failure(ok: np.ndarray) -> Optional[int]:
@@ -98,12 +126,9 @@ def first_failure(ok: np.ndarray) -> Optional[int]:
     Verdicts are written ``x <= tol``, so a NaN measurement counts as a
     failure. An empty array has no failure.
     """
-    if ok.ndim == 0:
-        return None if ok else 0
-    if ok.size == 0:
-        return None
-    i = int(ok.argmin())  # the first False, or 0 when all hold
-    return None if ok.flat[i] else i
+    # count_nonzero is one C call; ok.all() goes through numpy's Python-level
+    # reduction wrapper, a cost felt by the many 0-d verdicts of single-matrix gates
+    return None if np.count_nonzero(ok) == ok.size else int(ok.argmin())
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -181,6 +206,7 @@ def hermitian_eig(h, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
     output deterministic, and each matrix of a stack comes out exactly as it
     would alone; an all-zero matrix returns the identity as its eigenvectors.
     """
+    tol = nonnegative_real(tol, "tol")
     a = as_complex_stack(h, "h")
     require_hermitian(a, "matrix", tol)
     n = a.shape[-1]
@@ -217,7 +243,8 @@ def hermitian_eig(h, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
 
 
 def evolution_unitary(h, t: float, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h (units with hbar = 1)."""
+    """exp(-i*h*t) for Hermitian h (units with hbar = 1); t may be negative."""
+    t = finite_real(t, "time t")
     eig = hermitian_eig(h, tol=tol)
-    phases = np.exp(-1j * eig.eigenvalues * float(t))
+    phases = np.exp(-1j * eig.eigenvalues * t)
     return (eig.unitary * phases) @ dagger(eig.unitary)

@@ -42,6 +42,7 @@ from .channels import (
 from .linalg import (
     STRUCTURAL_TOL,
     as_complex_stack,
+    complex_array,
     first_failure,
     hermitian_eig,
     max_abs,
@@ -103,7 +104,7 @@ class CoefficientTensor:
     d2: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).copy()
+        v = complex_array(self.values, "coefficient tensor").copy()
         expected = (self.d1 * self.d1, self.d2 * self.d2)
         if v.ndim < 3 or v.shape[-2:] != expected:
             raise ValueError(
@@ -182,7 +183,9 @@ class GridReduction:
 
     def __post_init__(self):
         for name in ("b", "eigenvalues", "mixing", "operators", "kept"):
-            getattr(self, name).setflags(write=False)
+            view = getattr(self, name).view()  # leaves the caller's array writable
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,15 @@ class SeparableEnsemble:
             raise ValueError("need one weight per product pair")
         if not abs(sum(w) - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"weights sum to {sum(w)}, expected 1")
-        d1 = self.pairs[0][0].dim
-        d2 = self.pairs[0][1].dim
-        for m, (s1, s2) in enumerate(self.pairs):
-            if s1.dim != d1 or s2.dim != d2:
+        for m, pair in enumerate(self.pairs):
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(isinstance(s, DensityMatrix) for s in pair)
+            ):
+                raise ValueError(f"pairs[{m}] must be a pair of DensityMatrix states")
+            # pairs[0] passed the test above before it is read here
+            if (pair[0].dim, pair[1].dim) != (self.pairs[0][0].dim, self.pairs[0][1].dim):
                 raise ValueError(f"pair {m} has inconsistent dimensions")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "pairs", tuple(self.pairs))
@@ -397,6 +405,7 @@ def reduced_domain_verdict(
     preparations, i.e. the dynamics is CP on that reduced domain; when they
     do not, no state-independent Kraus form exists there.
     """
+    tol = nonnegative_real(tol, "tol")
     if len(branches) == 0:
         raise ValueError("need at least one branch")
     dims = {br.subsystem_map.dim for br in branches}
@@ -450,6 +459,7 @@ def factorization_check(
     Rank is judged by the ratio of the second to the largest singular value;
     an all-zero operator is reported as a product with ``is_zero`` set.
     """
+    tol = nonnegative_real(tol, "tol")
     out = []
     for s in np.linalg.svd(coeffs.values, compute_uv=False):
         if s[0] == 0.0:

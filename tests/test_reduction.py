@@ -285,6 +285,12 @@ class TestSeparableEnsemble:
             with pytest.raises(ValueError, match=message):
                 SeparableEnsemble(weights, ((s, s), (s, s)))
 
+    def test_pairs_must_hold_states(self):
+        s = qubit_state(0.5)
+        for pairs in (((s, s.matrix),), ((s,),), (s,)):
+            with pytest.raises(ValueError, match=r"pairs\[0\] must be a pair of DensityMatrix"):
+                SeparableEnsemble((1.0,), pairs)
+
     @pytest.mark.parametrize(
         "kind, d",
         [("product", 2), ("product", 3), ("entangling", 2), ("entangling", 3), ("model", 2)],
@@ -536,6 +542,13 @@ class TestGridReduction:
         for name in ("b", "eigenvalues", "mixing", "operators", "kept"):
             with pytest.raises(ValueError):
                 getattr(grid, name)[0, 0] = 0
+
+    def test_caller_arrays_stay_writable(self):
+        arrays = [np.zeros((1, 2, 2)), np.zeros((1, 2)), np.zeros((1, 2, 2))]
+        arrays += [np.zeros((1, 2, 1, 1)), np.ones((1, 2), dtype=bool)]
+        grid = GridReduction(*arrays)
+        assert all(a.flags.writeable for a in arrays)
+        assert not any(getattr(grid, n).flags.writeable for n in ("b", "mixing", "kept"))
 
     @given(seeds, st.sampled_from([1, 2]))
     @settings(max_examples=15)

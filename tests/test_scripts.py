@@ -1,10 +1,13 @@
-"""Smoke tests: each experiment script runs end to end and prints its landmarks."""
+"""Smoke tests: each experiment script runs end to end and prints its landmarks,
+and the README examples run as written."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def load_script(name, monkeypatch):
@@ -41,3 +44,16 @@ def test_reduced_domain_demo(monkeypatch, capsys):
     assert "unequal rates" in printed and "split: no state-independent Kraus form" in printed
     assert "=== equal-marginal probe (unequal rates) ===" in printed
     assert "product vs itself (control):" in printed
+
+
+def test_readme_examples():
+    """The Quick start and the Time grids example run in order in one
+    namespace, as a reader pastes them: the second uses ``rates`` of the first."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["grid"].b.shape == (101, 4, 4)
+    result, closed = namespace["result"], namespace["closed"]
+    assert namespace["channel_distance"](result.subsystem_map, closed) < 1e-12
