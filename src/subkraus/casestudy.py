@@ -23,6 +23,8 @@ semidefinite, and finite for arbitrarily large times.
 
 The operators are evaluated for a whole time grid at once by
 :func:`composite_kraus_grid`; :func:`composite_kraus` is its one-point case.
+:func:`sweep_table` holds the diagnostics of the qubit-1 reduction on a time
+grid, the columns of the ``case-study`` CSV.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channels
 from .channels import DensityMatrix, KrausMap, require_complete
 from .linalg import (
     MODEL_TOL,
@@ -42,10 +45,13 @@ from .linalg import (
     real_number,
     tensor_product,
 )
+from .reduction import GridReduction
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+SWEEP_HEADER = "t,b0,b1,b2,b3,trace_defect,choi_min_eig,offdiag_B_max"
 
 # Discriminant floor for the coherence Gram matrix; with valid rates it is
 # nonnegative up to rounding, so anything below this signals broken inputs.
@@ -285,6 +291,23 @@ def composite_kraus(t: float, rates: DampingRates) -> KrausMap:
     """The composite map at one time; see :func:`composite_kraus_grid`."""
     nonnegative_real(t, "time t")
     return KrausMap(4, composite_kraus_grid((t,), rates)[0], trace_preserving=True)
+
+
+def sweep_table(ts, grid: GridReduction) -> np.ndarray:
+    """The case-study table of a time grid ``ts`` and its qubit-1 reduction
+    ``grid``: one row per time, columns in ``SWEEP_HEADER`` order (the b
+    diagonal, ``|sum b_ii / 2 - 1|``, the smallest Choi eigenvalue of the
+    reduced map, the largest off-diagonal ``|b_ij|``). The reduced operators
+    must be complete at every time, a failure naming its t, and their Choi
+    matrices pass the trace gate.
+    """
+    channels.require_complete(grid.operators, "reduced operators", times=ts)
+    verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
+    b = grid.b
+    b0, b1, b2, b3 = b_diag = np.diagonal(b, axis1=-2, axis2=-1).real.T
+    trace_defect = np.abs((b0 + b1 + b2 + b3) / 2.0 - 1.0)
+    offdiag_max = np.abs(np.where(np.eye(4, dtype=bool), 0.0, b)).max(axis=(-2, -1))
+    return np.column_stack((ts, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max))
 
 
 def closed_form_b(t: float, rates: DampingRates, a: float) -> tuple[float, float, float, float]:

@@ -279,16 +279,22 @@ def cp_verdict(choi: ChoiMatrix, tol: float = CP_EIG_TOL) -> CpVerdict:
     return CpVerdict(lo >= -tol, lo)
 
 
+def choi_distance(ja: np.ndarray, jb: np.ndarray):
+    """Frobenius distance between two Choi matrices: a float, or one value
+    per pair of two (..., n, n) stacks of them."""
+    distance = np.sqrt((np.abs(ja - jb) ** 2).sum(axis=(-2, -1)))
+    return float(distance) if distance.ndim == 0 else distance
+
+
 def channel_distance(a: KrausMap, b: KrausMap) -> float:
-    """Frobenius distance between Choi matrices.
+    """:func:`choi_distance` of the Choi matrices of two maps.
 
     Zero exactly when the two maps act identically on every input, whatever
     Kraus lists represent them.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    diff = choi_of_any(a) - choi_of_any(b)
-    return float(np.sqrt((np.abs(diff) ** 2).sum()))
+    return choi_distance(choi_of_any(a), choi_of_any(b))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
-SWEEP_HEADER = "t,b0,b1,b2,b3,trace_defect,choi_min_eig,offdiag_B_max"
-SWEEP_ROW = ",".join([FIELD17] * len(SWEEP_HEADER.split(",")))
+SWEEP_ROW = ",".join([FIELD17] * len(casestudy.SWEEP_HEADER.split(",")))
 # Grid points per batched pass of case-study; bounds the numpy arrays of one
 # pass, while the time grid and the CSV lines still grow with --steps.
 SWEEP_CHUNK = 1024
@@ -95,7 +94,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     rho2 = casestudy.qubit_state(args.a)
     split = reduction.Bipartition(2, 2)
     ts = args.t_max * np.arange(args.steps) / (args.steps - 1)
-    lines = [SWEEP_HEADER]
+    lines = [casestudy.SWEEP_HEADER]
     for start in range(0, args.steps, SWEEP_CHUNK):
         chunk = ts[start : start + SWEEP_CHUNK]
         stacks = casestudy.composite_kraus_grid(chunk, rates)
@@ -105,15 +104,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
             )
         except reduction.NonPositiveBMatrixError as exc:
             raise _Diagnostic(f"at t={chunk[exc.index]}: {exc}") from exc
-        channels.require_complete(grid.operators, "reduced operators", times=chunk)
-        verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
-        b = grid.b
-        b0, b1, b2, b3 = b_diag = np.diagonal(b, axis1=-2, axis2=-1).real.T
-        trace_defect = np.abs((b0 + b1 + b2 + b3) / 2.0 - 1.0)
-        offdiag_max = np.abs(np.where(np.eye(4, dtype=bool), 0.0, b)).max(axis=(-2, -1))
-        rows = np.column_stack(
-            (chunk, *b_diag, trace_defect, verdict.min_eigenvalue, offdiag_max)
-        )
+        rows = casestudy.sweep_table(chunk, grid)
         lines.extend(SWEEP_ROW % tuple(row) for row in rows.tolist())
     Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -66,7 +66,10 @@ def real_number(value, name: str) -> float:
         isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
     ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range, too long to print
+        raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
 
 
 def finite_real(value, name: str) -> float:
@@ -105,18 +108,22 @@ def subsystem_keep(keep) -> int:
 
 def matrix_stack(matrices, dim: int, name: str) -> np.ndarray:
     """``dim`` x ``dim`` matrices, a sequence or an (n, dim, dim) array, copied
-    into one new complex (n, dim, dim) array; only if they do not coerce to
-    one are they walked, to name the first bad one as ``name[i]``."""
+    into one new complex (n, dim, dim) array. An array that coerces is taken
+    whole; anything else is walked, to name the first bad member as
+    ``name[i]``, so every member of a sequence meets the array rule on its
+    own (numpy would promote a bool matrix among numeric ones)."""
     try:
         stack = complex_array(matrices, name)
     except (TypeError, ValueError):
         stack = None
-    if stack is None or stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+    whole = stack is not None and stack.ndim == 3 and stack.shape[1:] == (dim, dim)
+    if not (whole and isinstance(matrices, np.ndarray)):
         for i, m in enumerate(matrices):
             a = as_complex_matrix(m, f"{name}[{i}]")
             if a.shape[0] != dim:
                 raise ValueError(f"{name}[{i}] has dimension {a.shape[0]}, expected {dim}")
-        raise ValueError(f"{name} must be a sequence of {dim}x{dim} matrices")
+        if not whole:
+            raise ValueError(f"{name} must be a sequence of {dim}x{dim} matrices")
     return stack.copy()
 
 

@@ -36,6 +36,7 @@ from .channels import (
     DensityMatrix,
     KrausMap,
     apply_matrix,
+    choi_distance,
     choi_of_any,
     operator_stack,
 )
@@ -233,6 +234,19 @@ class OperatorFactorization:
     singular_ratio: float
 
 
+def _check_split(stack: np.ndarray, split: Bipartition) -> None:
+    if stack.shape[-1] != split.dim:
+        raise ValueError(
+            f"dimension mismatch: map is {stack.shape[-1]}-dimensional, "
+            f"split gives {split.dim}"
+        )
+
+
+def _check_state(rho2: DensityMatrix, d2: int) -> None:
+    if rho2.dim != d2:
+        raise ValueError(f"state dimension {rho2.dim} does not match coefficient d2 = {d2}")
+
+
 def c_coefficients(
     kmap,
     split: Bipartition,
@@ -242,11 +256,7 @@ def c_coefficients(
     """c[..., k, i, j] = tr(K_k (g_i (x) h_j)) for each composite operator of
     a ``KrausMap`` or of a (..., k, dim, dim) stack of maps."""
     stack = operator_stack(kmap)
-    if stack.shape[-1] != split.dim:
-        raise ValueError(
-            f"dimension mismatch: map is {stack.shape[-1]}-dimensional, "
-            f"split gives {split.dim}"
-        )
+    _check_split(stack, split)
     if basis1.dim != split.d1 or basis2.dim != split.d2:
         raise ValueError(
             f"basis dimensions ({basis1.dim}, {basis2.dim}) do not match the "
@@ -276,10 +286,7 @@ def b_matrix(
         raise ValueError(
             f"basis dimension {basis2.dim} does not match coefficient d2 = {coeffs.d2}"
         )
-    if rho2.dim != coeffs.d2:
-        raise ValueError(
-            f"state dimension {rho2.dim} does not match coefficient d2 = {coeffs.d2}"
-        )
+    _check_state(rho2, coeffs.d2)
     d_ops = np.einsum("...kij,jab->...kiab", coeffs.values, basis2.stacked())
     values = np.einsum("...kiab,bc,...kjac->...ij", d_ops, rho2.matrix, d_ops.conj())
     return BMatrix(values, time_label)
@@ -292,13 +299,23 @@ def _coefficients(stack, split: Bipartition) -> CoefficientTensor:
     )
 
 
-def _reduce(coeffs, rho_other, keep, truncation):
-    """The reduction pipeline from the coefficients of a (..., k, dim, dim)
-    operator stack; every output carries its leading axes, and every gate
-    holds at each map of the stack. ``c`` does not depend on ``rho_other``,
-    so one tensor serves every traced-out state."""
+def _checked_args(stack, split: Bipartition, rho_other: DensityMatrix, keep, truncation):
+    """``keep`` and ``truncation`` of a reduction of ``stack``, checked with
+    every other argument, in the order of the pipeline steps that read them,
+    before any basis is built or any ``c`` contracted."""
+    _check_split(stack, split)
     keep = subsystem_keep(keep)
     truncation = nonnegative_real(truncation, "truncation")
+    _check_state(rho_other, split.d2 if keep == 1 else split.d1)
+    return keep, truncation
+
+
+def _reduce(coeffs, rho_other, keep, truncation):
+    """The reduction pipeline from the coefficients of a (..., k, dim, dim)
+    operator stack, for arguments that passed :func:`_checked_args`; every
+    output carries its leading axes, and every gate holds at each map of the
+    stack. ``c`` does not depend on ``rho_other``, so one tensor serves every
+    traced-out state."""
     if keep == 2:
         coeffs = coeffs.swapped()
     own_basis = build_hermitian_basis(coeffs.d1)
@@ -349,8 +366,9 @@ def reduce_subsystem(
     dropped together with their (numerically zero) operators. ``keep=2`` runs
     the mirrored computation by swapping the coefficient indices.
     """
-    coeffs = _coefficients(kmap.stacked(), split)
-    return _reduce_map(kmap, coeffs, rho_other, keep, truncation)
+    stack = kmap.stacked()
+    keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)
+    return _reduce_map(kmap, _coefficients(stack, split), rho_other, keep, truncation)
 
 
 def reduce_subsystem_grid(
@@ -372,6 +390,7 @@ def reduce_subsystem_grid(
     stack = operator_stack(stacks)
     if stack.ndim != 4:
         raise ValueError(f"stacks must be (T, k, dim, dim), got shape {stack.shape}")
+    keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)
     _, b, eigenvalues, mixing, operators, kept = _reduce(
         _coefficients(stack, split), rho_other, keep, truncation
     )
@@ -390,7 +409,9 @@ def reduce_separable_ensemble(
     exactly the :func:`reduce_subsystem` of its traced factor."""
     if ensemble.pairs[0][0].dim != split.d1 or ensemble.pairs[0][1].dim != split.d2:
         raise ValueError("ensemble dimensions do not match the bipartition")
-    coeffs = _coefficients(kmap.stacked(), split)
+    stack = kmap.stacked()
+    _, truncation = _checked_args(stack, split, ensemble.pairs[0][1], 1, truncation)
+    coeffs = _coefficients(stack, split)
     return [
         _reduce_map(kmap, coeffs, sigma2, 1, truncation) for (_, sigma2) in ensemble.pairs
     ]
@@ -411,12 +432,11 @@ def reduced_domain_verdict(
     dims = {br.subsystem_map.dim for br in branches}
     if len(dims) != 1:
         raise ValueError(f"branches have mixed dimensions {sorted(dims)}")
-    # channel_distance of every pair i < j, over one stack of Choi matrices:
+    # the distance of every pair i < j, over one stack of Choi matrices:
     # the branches may keep different numbers of operators
     chois = np.array([choi_of_any(br.subsystem_map) for br in branches])
     i, j = np.triu_indices(len(branches), 1)
-    distances = np.sqrt((np.abs(chois[i] - chois[j]) ** 2).sum(axis=(-2, -1)))
-    worst = float(distances.max(initial=0.0))
+    worst = float(choi_distance(chois[i], chois[j]).max(initial=0.0))
     uniform = worst <= tol
     return DomainVerdict(uniform, worst, branches[0].subsystem_map if uniform else None)
 

@@ -48,6 +48,13 @@ def random_hermitian(rng, d: int) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def random_density(rng, d: int) -> channels.DensityMatrix:
+    """Random full-rank state with complex entries, A A^dagger / tr."""
+    m = random_complex(rng, d)
+    rho = m @ m.conj().T
+    return channels.DensityMatrix(rho / np.trace(rho).real)
+
+
 def random_tp_kraus(rng, d: int, n: int) -> channels.KrausMap:
     """Random trace-preserving map: raw operators right-normalized by the
     inverse square root of their completeness sum (through numpy's ``eigh``,
@@ -219,23 +226,28 @@ def check_composite_completeness() -> CheckResult:
     return _verdict("composite completeness over tau grid", "model", defects, 1e-8)
 
 
+def _sweep(ts, rates: casestudy.DampingRates, a: float):
+    """The qubit-1 grid reduction of the two-qubit model on ``ts`` and its
+    case-study table, keyed by column name."""
+    stacks = casestudy.composite_kraus_grid(ts, rates)
+    grid = reduction.reduce_subsystem_grid(stacks, _SPLIT, casestudy.qubit_state(a))
+    table = casestudy.sweep_table(ts, grid)
+    return grid, dict(zip(casestudy.SWEEP_HEADER.split(","), table.T))
+
+
 def closed_form_residuals(ts, rates: casestudy.DampingRates, a: float):
     """Deviations of the qubit-1 grid reduction of the two-qubit model from
     its closed forms at each time of ``ts``: three (T,) arrays holding
     max |b_ii - closed_form_b|, the largest off-diagonal entry of ``b``, and
     the channel distance to ``closed_form_subsystem_map``."""
-    stacks = casestudy.composite_kraus_grid(ts, rates)
-    grid = reduction.reduce_subsystem_grid(stacks, _SPLIT, casestudy.qubit_state(a))
-    diag = np.diagonal(grid.b, axis1=-2, axis2=-1).real
+    grid, columns = _sweep(ts, rates, a)
+    diag = np.column_stack([columns[f"b{i}"] for i in range(4)])
     closed = np.array([casestudy.closed_form_b(t, rates, a) for t in ts])
-    offdiag = np.abs(grid.b - diag[..., None] * np.eye(4)).max(axis=(-2, -1))
-    dist = np.array([
-        channels.channel_distance(
-            channels.KrausMap(2, ops), casestudy.closed_form_subsystem_map(t, rates, a)
-        )
-        for t, ops in zip(ts, grid.operators)
-    ])
-    return np.abs(diag - closed).max(axis=-1), offdiag, dist
+    closed_ops = np.array([casestudy.closed_form_subsystem_map(t, rates, a).stacked() for t in ts])
+    dist = channels.choi_distance(
+        channels.choi_of_any(grid.operators), channels.choi_of_any(closed_ops)
+    )
+    return np.abs(diag - closed).max(axis=-1), columns["offdiag_B_max"], dist
 
 
 def check_algorithm_vs_closed_form() -> CheckResult:
@@ -259,28 +271,31 @@ def check_identity_limit() -> CheckResult:
 
 
 def check_reduced_cp_on_grid() -> CheckResult:
-    stacks = casestudy.composite_kraus_grid(_grid_times(25), _GRID_RATES)
-    grid = reduction.reduce_subsystem_grid(stacks, _SPLIT, casestudy.qubit_state(0.3))
-    verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
+    _, columns = _sweep(_grid_times(25), _GRID_RATES, 0.3)
     # a lower bound, so no _verdict; np.min keeps a NaN, which fails the gate
-    worst = float(np.min(verdict.min_eigenvalue, initial=0.0))
+    worst = float(np.min(columns["choi_min_eig"], initial=0.0))
     floor = -1e-10
     return CheckResult("reduced map CP on grid", "model", bool(worst >= floor), worst, floor)
 
 
 def check_oracle_equivalence(seed: int = 21) -> CheckResult:
     rng = np.random.default_rng(seed)
-    residuals = []
+    cases = []  # (map, split, traced-out state, keep)
     for _ in range(10):
         rates = casestudy.DampingRates(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
         t = rng.uniform(0.1, 2.0)
         a = rng.uniform(0.0, 1.0)
-        rho2 = casestudy.qubit_state(a)
-        kmap = casestudy.composite_kraus(t, rates)
-        result = reduction.reduce_subsystem(kmap, _SPLIT, rho2)
-        brute = brute_force_reduced_choi(kmap, _SPLIT, rho2)
-        algo = channels.choi_of_any(result.subsystem_map)
-        residuals.append(linalg.max_abs(brute - algo))
+        cases.append((casestudy.composite_kraus(t, rates), _SPLIT, casestudy.qubit_state(a), 1))
+    # the model's maps and states are real; generic ones also see a transposed state
+    for split in (_SPLIT, reduction.Bipartition(2, 3)):
+        for keep in (1, 2):
+            traced = random_density(rng, split.d2 if keep == 1 else split.d1)
+            cases.append((random_tp_kraus(rng, split.dim, 3), split, traced, keep))
+    residuals = []
+    for kmap, split, traced, keep in cases:
+        result = reduction.reduce_subsystem(kmap, split, traced, keep=keep)
+        brute = brute_force_reduced_choi(kmap, split, traced, keep=keep)
+        residuals.append(linalg.max_abs(brute - channels.choi_of_any(result.subsystem_map)))
     return _verdict("reduction equals brute-force channel", "model", residuals, 1e-10)
 
 

@@ -17,6 +17,7 @@ from subkraus.linalg import partial_trace, tensor_product
 from subkraus.verify import (
     brute_force_reduced_choi,
     random_complex,
+    random_density,
     random_hermitian,
     random_tp_kraus,
 )
@@ -31,12 +32,6 @@ SIGMA = (
 
 def rng_from(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-def random_density(rng, d: int) -> DensityMatrix:
-    m = random_complex(rng, d)
-    rho = m @ m.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

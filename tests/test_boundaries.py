@@ -124,3 +124,21 @@ def test_bad_real_scalar_rejected_by_name(site, value):
     call, name, _ = SCALAR_SITES[site]
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be")):
         call(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda m: KrausMap(2, [np.eye(2), m], trace_preserving=False), "operators[1]"),
+    (lambda m: OperatorBasis(2, [*BASIS2.elements[:3], m]), "elements[3]"),
+])
+def test_bool_member_of_a_sequence_rejected_by_name(call, name):
+    # one np.asarray of the whole list would promote the bool member to float
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be an array of numbers, got dtype bool")):
+        call(np.eye(2, dtype=bool))
+
+
+# one site per scalar rule: real_number, finite_real, nonnegative_real
+@pytest.mark.parametrize("site", ["ModelParams.nu_max", "bose_occupation.nu", "hermitian_eig.tol"])
+def test_integer_beyond_the_float_range_rejected_as_not_finite(site):
+    call, name, _ = SCALAR_SITES[site]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be finite")):
+        call(10**400)

@@ -21,6 +21,7 @@ from subkraus.channels import (
     apply_map,
     apply_matrix,
     channel_distance,
+    choi_distance,
     choi_matrix,
     choi_of_any,
     completeness_defect,
@@ -324,6 +325,15 @@ class TestChannelDistance:
             trace_preserving=True,
         )
         assert channel_distance(kmap, mixed) < 1e-10
+
+    def test_choi_distance_of_stacks_equals_each_pair_bit_for_bit(self):
+        rng = rng_from(8)
+        pairs = [(random_tp_kraus(rng, 3, 2), random_tp_kraus(rng, 3, 4)) for _ in range(6)]
+        chois_a, chois_b = (np.array([choi_of_any(m) for m in maps]) for maps in zip(*pairs))
+        distances = choi_distance(chois_a, chois_b)
+        assert distances.shape == (6,)
+        assert distances.tolist() == [channel_distance(a, b) for a, b in pairs]
+        assert type(choi_distance(chois_a[0], chois_b[0])) is float
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

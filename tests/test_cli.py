@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tp_kraus, rng_from
-from subkraus import casestudy, channels, cli, linalg, verify
+from subkraus import casestudy, channels, cli, linalg, reduction, verify
 from subkraus.casestudy import DampingRates, closed_form_b, composite_kraus, qubit_state
 from subkraus.channels import (
     DensityMatrix,
@@ -21,7 +21,12 @@ from subkraus.channels import (
     load_map_json,
     maximally_mixed,
 )
-from subkraus.reduction import Bipartition, NonPositiveBMatrixError, reduce_subsystem
+from subkraus.reduction import (
+    Bipartition,
+    NonPositiveBMatrixError,
+    reduce_subsystem,
+    reduce_subsystem_grid,
+)
 
 
 @pytest.fixture
@@ -107,6 +112,24 @@ class TestReduce:
         ])
         assert code == 2
 
+    def test_split_of_another_dimension_exits_2_before_any_basis(
+        self, case_study_files, tmp_path, monkeypatch, capsys
+    ):
+        map_path, _, _, _ = case_study_files
+        rho_path = tmp_path / "rho1.json"
+        rho_path.write_text(dump_density_json(maximally_mixed(1)))
+
+        def no_basis(d):  # a 1000-dimensional basis would need 14.6 TiB
+            raise AssertionError(f"built the basis of dimension {d}")
+
+        monkeypatch.setattr(reduction, "build_hermitian_basis", no_basis)
+        code = cli.main([
+            "reduce", "--map", str(map_path), "--d1", "1000", "--d2", "1",
+            "--rho", str(rho_path), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert "dimension mismatch: map is 4-dimensional, split gives 1000" in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_2(self, case_study_files, tmp_path):
         map_path, rho_path, _, _ = case_study_files
         code = cli.main([
@@ -168,6 +191,19 @@ class TestCaseStudySweep:
             code7, out7 = self.run_sweep(tmp_path, f"chunked{steps}.csv", str(steps))
             assert code == code7 == 0
             assert out.read_bytes() == out7.read_bytes()
+
+    def test_chunked_rows_equal_the_library_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 7)
+        code, out = self.run_sweep(tmp_path, steps="23")
+        assert code == 0
+        ts = np.arange(23) / 22
+        grid = reduce_subsystem_grid(
+            casestudy.composite_kraus_grid(ts, DampingRates(0.3, 1.0)), Bipartition(2, 2),
+            qubit_state(0.3),
+        )
+        table = casestudy.sweep_table(ts, grid)
+        assert out.read_text().splitlines()[0] == casestudy.SWEEP_HEADER
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1), table)
 
     def test_negative_b_at_a_later_point_names_t(self, tmp_path, monkeypatch, capsys):
         # a traced factor that is not a state, built by bypassing validation
@@ -330,6 +366,17 @@ class TestVerify:
         result = verify.check_reduced_cp_on_grid()
         assert result.passed is False
         assert np.isnan(result.measured)
+
+    def test_transposed_traced_state_fails_the_oracle_check(self, monkeypatch):
+        contract = reduction.b_matrix
+
+        def transposed(coeffs, rho2, basis2, time_label=None):
+            return contract(coeffs, DensityMatrix(rho2.matrix.T), basis2, time_label)
+
+        monkeypatch.setattr(reduction, "b_matrix", transposed)
+        result = verify.check_oracle_equivalence()
+        assert result.passed is False
+        assert result.measured > 1e-3
 
     def test_every_check_passes_with_a_bool(self):
         results = verify.run_checks("all")

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from helpers import (
     random_unitary,
     rng_from,
 )
+from subkraus import reduction
 from subkraus.basis import build_hermitian_basis
 from subkraus.casestudy import (
     DampingRates,
@@ -608,3 +612,70 @@ class TestGridReduction:
             reduce_subsystem_grid(kmap.stacked(), SPLIT22, qubit_state(0.3))
         with pytest.raises(ValueError, match="truncation"):
             reduce_subsystem_grid(kmap.stacked()[None], SPLIT22, qubit_state(0.3), truncation=True)
+
+
+class TestArgumentsCheckedFirst:
+    """Every argument of a reduction is checked before any basis is built or
+    any c is contracted, in the order of the pipeline steps that read them."""
+
+    MAP4 = composite_kraus(0.2, DampingRates(0.3, 1.0))
+    MAP6 = random_tp_kraus(rng_from(6), 6, 2)
+    VALID = dict(kmap=MAP4, split=SPLIT22, rho_other=maximally_mixed(2), keep=1, truncation=0.0)
+    MISMATCH = "dimension mismatch: map is 4-dimensional, split gives 3"
+    CASES = {
+        "split": (dict(split=Bipartition(3, 1)), MISMATCH),
+        "split before keep": (dict(split=Bipartition(3, 1), keep=3), MISMATCH),
+        "keep": (dict(keep=3), "keep must be 1 or 2, got 3"),
+        "truncation": (dict(truncation=-1.0), "truncation must be finite and nonnegative"),
+        "state": (
+            dict(rho_other=maximally_mixed(3)),
+            "state dimension 3 does not match coefficient d2 = 2",
+        ),
+        "state of the traced factor 1": (
+            dict(kmap=MAP6, split=Bipartition(2, 3), rho_other=maximally_mixed(3), keep=2),
+            "state dimension 3 does not match coefficient d2 = 2",
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_basis_and_no_c(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("reached the pipeline")
+
+        monkeypatch.setattr(reduction, "build_hermitian_basis", fail)
+        monkeypatch.setattr(reduction, "c_coefficients", fail)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
+    def test_reduce_subsystem(self, case, grid):
+        changes, message = self.CASES[case]
+        args = {**self.VALID, **changes}
+        kmap = args.pop("kmap")
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            if grid:
+                reduce_subsystem_grid(kmap.stacked()[None], **args)
+            else:
+                reduce_subsystem(kmap, **args)
+
+    def test_valid_arguments_reach_the_pipeline(self):
+        args = dict(self.VALID)
+        with pytest.raises(AssertionError, match="reached the pipeline"):
+            reduce_subsystem(args.pop("kmap"), **args)
+
+    @pytest.mark.parametrize("split, truncation, message", [
+        (Bipartition(3, 1), 1e-12, MISMATCH),
+        (Bipartition(2, 2), math.nan, "truncation must be finite and nonnegative"),
+    ])
+    def test_reduce_separable_ensemble(self, split, truncation, message):
+        pair = (maximally_mixed(split.d1), maximally_mixed(split.d2))
+        ensemble = SeparableEnsemble((1.0,), (pair,))
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            reduce_separable_ensemble(self.MAP4, split, ensemble, truncation=truncation)
+
+
+def test_split_mismatch_leaves_the_basis_cache_unchanged():
+    before = build_hermitian_basis.cache_info()
+    with pytest.raises(ValueError, match="split gives 30"):
+        reduce_subsystem(composite_kraus(0.2, DampingRates(0.3, 1.0)), Bipartition(30, 1),
+                         maximally_mixed(1))
+    assert build_hermitian_basis.cache_info() == before

@@ -57,3 +57,34 @@ def test_readme_examples():
     assert namespace["grid"].b.shape == (101, 4, 4)
     result, closed = namespace["result"], namespace["closed"]
     assert namespace["channel_distance"](result.subsystem_map, closed) < 1e-12
+
+
+def test_output_diff_generates_and_compares_one_tree(tmp_path, monkeypatch):
+    script = load_script("output_diff", monkeypatch)
+    script.write_inputs(tmp_path / "inputs")
+    first = tmp_path / "first"
+    script.generate(SCRIPTS.parent, tmp_path / "inputs", first)
+    lines, same = script.compare(first, first)
+    assert same and len(lines) == 20
+    assert all(line.endswith("  identical") for line in lines)
+    assert "OUT/reduce_2x3_keep2.map.json" in (first / "reduce_2x3_keep2.report.json").read_text()
+    assert (first / "exit_codes.txt").read_text().count(" 0\n") == 13
+
+    second = tmp_path / "second"
+    second.mkdir()
+    for path in first.iterdir():
+        (second / path.name).write_bytes(path.read_bytes())
+    csv_path = second / "case_study_101.csv"
+    rows = csv_path.read_text().splitlines()
+    fields = rows[2].split(",")
+    fields[1] = repr(float(fields[1]) * (1 + 1e-9))
+    rows[2] = ",".join(fields)
+    csv_path.write_text("\n".join(rows) + "\n")
+    verify_path = second / "verify.txt"
+    verify_path.write_text(verify_path.read_text().replace("PASS", "FAIL", 1))
+    lines, same = script.compare(first, second)
+    assert not same
+    b0 = next(line for line in lines if line.strip().startswith("b0:"))
+    assert "max rel 1.0" in b0
+    assert "case_study_101.csv" in lines[lines.index(b0) - 1]
+    assert any(line.strip().startswith("1+ FAIL") for line in lines)
