@@ -298,11 +298,12 @@ def sweep_table(ts, grid: GridReduction) -> np.ndarray:
     ``grid``: one row per time, columns in ``SWEEP_HEADER`` order (the b
     diagonal, ``|sum b_ii / 2 - 1|``, the smallest Choi eigenvalue of the
     reduced map, the largest off-diagonal ``|b_ij|``). The reduced operators
-    must be complete at every time, a failure naming its t, and their Choi
-    matrices pass the trace gate.
+    must be complete at every time, a failure naming its t; that gate is the
+    only trace-preservation rule they meet.
     """
     channels.require_complete(grid.operators, "reduced operators", times=ts)
-    verdict = channels.cp_verdict(channels.choi_matrix(grid.operators))
+    choi = channels.ChoiMatrix(channels.choi_of_any(grid.operators), 2)
+    verdict = channels.cp_verdict(choi)
     b = grid.b
     b0, b1, b2, b3 = b_diag = np.diagonal(b, axis1=-2, axis2=-1).real.T
     trace_defect = np.abs((b0 + b1 + b2 + b3) / 2.0 - 1.0)

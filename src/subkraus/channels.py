@@ -40,7 +40,6 @@ from .linalg import (
 
 # Choi eigenvalues above this (negative) floor count as nonnegative.
 CP_EIG_TOL = 1e-10
-_CHOI_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,8 @@ class ChoiMatrix:
 
 
 def choi_of_any(kmap) -> np.ndarray:
-    """Choi matrix entries without the trace-preservation sanity check, for a
-    map or, as a (..., dim^2, dim^2) stack, for each map of a stack.
+    """Choi matrix entries without any gate, for a map or, as a
+    (..., dim^2, dim^2) stack, for each map of a stack.
 
     With ``V[k]`` the column-major vectorization of ``K_k``, the Choi matrix
     is ``sum_k V[k] V[k]^dagger = V^T conj(V)``.
@@ -244,21 +243,16 @@ def choi_of_any(kmap) -> np.ndarray:
 def choi_matrix(kmap) -> ChoiMatrix:
     """Checked Choi matrix of a map, or the stack of them of a stack of maps.
 
-    The trace of a trace-preserving map's Choi matrix must equal its
-    dimension; a bare operator stack is held to that check at every map.
+    Trace preservation has one rule, completeness at model tolerance
+    (:func:`require_complete`), and each map meets it once: a ``KrausMap``
+    asserted trace preserving met it when it was built, and one not asserted
+    trace preserving is not held to it. A bare operator stack carries no
+    flag, so it is held to the rule at every map here.
     """
     stack = operator_stack(kmap)
-    d = stack.shape[-1]
-    choi = ChoiMatrix(choi_of_any(stack), d)
-    if not isinstance(kmap, KrausMap) or kmap.trace_preserving:
-        tr = np.trace(choi.matrix, axis1=-2, axis2=-1).real
-        bad = first_failure(np.abs(tr - d) <= _CHOI_TRACE_TOL)
-        if bad is not None:
-            raise ValueError(
-                f"Choi trace of a trace-preserving map must be {d}, got {tr.flat[bad]}"
-                + ("" if tr.ndim == 0 else f" (map {bad} of the stack)")
-            )
-    return choi
+    if not isinstance(kmap, KrausMap):
+        require_complete(stack, "operators")
+    return ChoiMatrix(choi_of_any(stack), stack.shape[-1])
 
 
 class CpVerdict(NamedTuple):

@@ -8,8 +8,9 @@ Commands:
 * ``choi``        dump the Choi matrix and its minimum eigenvalue
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input validation, 3 model diagnostic (broken completeness, raised as
-``channels.CompletenessError``, or a negative mixing-matrix eigenvalue).
+2 input validation (an allocation failure included), 3 model diagnostic
+(broken completeness, raised as ``channels.CompletenessError``, or a
+negative mixing-matrix eigenvalue).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_choi(args: argparse.Namespace) -> int:
     raw = channels.load_map_json(_read_text(args.map))
-    # a loaded map is not asserted trace preserving, so there is no trace gate
+    # a loaded map is not asserted trace preserving, so it meets no completeness gate
     choi = channels.choi_matrix(raw)
     verdict = channels.cp_verdict(choi, tol=args.tol)
     doc = (
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--keep", type=int, choices=(1, 2), default=1,
                           help="which subsystem to keep (default 1)")
     p_reduce.add_argument("--truncation", type=_finite_float, default=reduction.DEFAULT_TRUNCATION,
-                          help="relative eigenvalue cutoff for dropped operators")
+                          help="relative eigenvalue cutoff for dropped operators, in [0, 1]")
     p_reduce.add_argument("--out", required=True, help="output map JSON file")
     p_reduce.set_defaults(func=cmd_reduce)
 
@@ -200,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             channels.CompletenessError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -306,6 +306,8 @@ def _checked_args(stack, split: Bipartition, rho_other: DensityMatrix, keep, tru
     _check_split(stack, split)
     keep = subsystem_keep(keep)
     truncation = nonnegative_real(truncation, "truncation")
+    if truncation > 1.0:  # above 1 every operator, the largest included, is dropped
+        raise ValueError(f"truncation must lie in [0, 1], got {truncation}")
     _check_state(rho_other, split.d2 if keep == 1 else split.d1)
     return keep, truncation
 
@@ -362,9 +364,9 @@ def reduce_subsystem(
 
     ``rho_other`` is the initial state of the factor being traced out; the
     composite preparation is the product of it with an arbitrary state of the
-    kept factor. Eigenvalues of b below ``truncation`` times the largest are
-    dropped together with their (numerically zero) operators. ``keep=2`` runs
-    the mirrored computation by swapping the coefficient indices.
+    kept factor. Eigenvalues of b below ``truncation`` (in [0, 1]) times the
+    largest are dropped with their (numerically zero) operators. ``keep=2``
+    runs the mirrored computation by swapping the coefficient indices.
     """
     stack = kmap.stacked()
     keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)
@@ -458,17 +460,15 @@ def correlated_probe(
         raise ValueError("probe states must live on the composite dimension")
     if kmap.dim != split.dim:
         raise ValueError("map dimension does not match the bipartition")
-    marg_a = partial_trace(state_a.matrix, split.d1, split.d2, keep=1)
-    marg_b = partial_trace(state_b.matrix, split.d1, split.d2, keep=1)
-    gap = max_abs(marg_a - marg_b)
+    # the map and the partial trace are linear, so only the difference matters
+    diff = state_a.matrix - state_b.matrix
+    gap = max_abs(partial_trace(diff, split.d1, split.d2, keep=1))
     if not gap <= STRUCTURAL_TOL:
         raise ValueError(
             f"probe states must have equal subsystem-1 marginals "
             f"(difference {gap:.3e}); the comparison is meaningless otherwise"
         )
-    out_a = partial_trace(apply_matrix(kmap, state_a.matrix), split.d1, split.d2, keep=1)
-    out_b = partial_trace(apply_matrix(kmap, state_b.matrix), split.d1, split.d2, keep=1)
-    return max_abs(out_a - out_b)
+    return max_abs(partial_trace(apply_matrix(kmap, diff), split.d1, split.d2, keep=1))
 
 
 def factorization_check(

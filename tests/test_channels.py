@@ -14,8 +14,10 @@ from helpers import (
     rng_from,
 )
 from subkraus.basis import OperatorBasis, build_hermitian_basis
+from subkraus.casestudy import DampingRates, composite_kraus, qubit_state
 from subkraus.channels import (
     ChoiMatrix,
+    CompletenessError,
     DensityMatrix,
     KrausMap,
     apply_map,
@@ -34,6 +36,7 @@ from subkraus.channels import (
     pure_state,
     require_complete,
 )
+from subkraus.reduction import Bipartition, reduce_subsystem
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -462,6 +465,39 @@ def test_stack_gates_name_the_failing_map():
     with pytest.raises(ValueError, match="Choi matrix 2 of the stack is not Hermitian"):
         ChoiMatrix(choi_of_any(stack), 2)
     assert np.isnan(completeness_defect(stack)[2])
+
+
+class TestChoiMatrixTracePreservation:
+    """Completeness at model tolerance is the one trace-preservation rule,
+    and ``choi_matrix`` holds only a bare stack to it."""
+
+    def test_accepts_a_map_the_constructor_accepted(self):
+        ops = random_tp_kraus(rng_from(44), 4, 3).stacked() * (1 + 2.5e-9)
+        kmap = KrausMap(4, ops, trace_preserving=True)
+        assert 1e-9 < completeness_defect(kmap) <= 1e-8
+        np.testing.assert_array_equal(choi_matrix(kmap).matrix, choi_of_any(kmap))
+
+    def test_accepts_a_truncated_reduction(self):
+        result = reduce_subsystem(
+            composite_kraus(2e-6, DampingRates(0.3, 1.0)), Bipartition(2, 2), qubit_state(0.3),
+            truncation=1e-9,
+        )
+        assert result.truncated_count == 1
+        choi = choi_matrix(result.subsystem_map)
+        assert 1e-10 < 2.0 - np.trace(choi.matrix).real < 1e-9
+
+    def test_rejects_an_incomplete_stack_with_an_exact_trace(self):
+        eps = 1e-3
+        squeezed = np.diag([np.sqrt(1 + eps), np.sqrt(1 - eps)]).astype(complex)
+        stack = np.array([[np.eye(2, dtype=complex)], [squeezed]])
+        assert abs(np.trace(choi_of_any(stack[1])) - 2.0) < 1e-15
+        with pytest.raises(CompletenessError, match=r"^operators violate the completeness "
+                           r"condition \(map 1 of the stack\) \(defect 1.000e-03"):
+            choi_matrix(stack)
+
+    def test_no_gate_without_the_flag(self):
+        raw = KrausMap(2, (1.1 * np.eye(2, dtype=complex),), trace_preserving=False)
+        assert np.trace(choi_matrix(raw).matrix).real == pytest.approx(2.42)
 
 
 def test_require_complete_names_the_first_failing_map():

@@ -130,6 +130,17 @@ class TestReduce:
         assert code == 2
         assert "dimension mismatch: map is 4-dimensional, split gives 1000" in capsys.readouterr().err
 
+    def test_truncation_above_1_exits_2(self, case_study_files, tmp_path, capsys):
+        map_path, rho_path, _, _ = case_study_files
+        reduce_args = ["reduce", "--map", str(map_path), "--d1", "2", "--d2", "2",
+                       "--rho", str(rho_path), "--out", str(tmp_path / "out.json")]
+        sweep_args = ["case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "0.3",
+                      "--t-max", "1.0", "--steps", "5", "--out", str(tmp_path / "x.csv")]
+        for argv in (reduce_args, sweep_args):
+            assert cli.main(argv + ["--truncation", "1.5"]) == 2
+            assert capsys.readouterr().err == "error: truncation must lie in [0, 1], got 1.5\n"
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "x.csv").exists()
+
     def test_dimension_mismatch_exits_2(self, case_study_files, tmp_path):
         map_path, rho_path, _, _ = case_study_files
         code = cli.main([
@@ -264,6 +275,27 @@ class TestCaseStudySweep:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("diagnostic: composite operators violate the completeness condition at t=")
+        assert not out.exists()
+
+    def test_truncation_that_drops_an_operator_exits_0(self, tmp_path):
+        # the dropped b eigenvalue (below 1e-9) shortens the Choi trace of the
+        # reduced map, which still meets the completeness rule at 1e-8
+        out = tmp_path / "x.csv"
+        assert cli.main([
+            "case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "0.3",
+            "--t-max", "1e-4", "--steps", "101", "--truncation", "1e-9", "--out", str(out),
+        ]) == 0
+        assert len(out.read_text().splitlines()) == 102
+
+    def test_allocation_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(ts, rates):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(casestudy, "composite_kraus_grid", out_of_memory)
+        code, out = self.run_sweep(tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 72.8 TiB\n"
         assert not out.exists()
 
     def test_bad_population_exits_2(self, tmp_path):

@@ -627,6 +627,7 @@ class TestArgumentsCheckedFirst:
         "split before keep": (dict(split=Bipartition(3, 1), keep=3), MISMATCH),
         "keep": (dict(keep=3), "keep must be 1 or 2, got 3"),
         "truncation": (dict(truncation=-1.0), "truncation must be finite and nonnegative"),
+        "truncation above 1": (dict(truncation=1.5), "truncation must lie in [0, 1], got 1.5"),
         "state": (
             dict(rho_other=maximally_mixed(3)),
             "state dimension 3 does not match coefficient d2 = 2",
