@@ -50,6 +50,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, "density matrix").copy()
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix must have finite entries")
         require_hermitian(m, "density matrix")
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= STRUCTURAL_TOL:
@@ -89,9 +91,11 @@ class KrausMap:
     """An ordered list of same-dimension Kraus operators.
 
     ``operators`` (matrices or an (n, dim, dim) array) is copied once into the
-    read-only stack returned by :meth:`stacked`, and becomes its rows. When
-    ``trace_preserving`` is asserted, the completeness condition
-    ``sum_k K_k^dagger K_k = I`` is checked at model tolerance (1e-8).
+    read-only stack returned by :meth:`stacked`, and becomes its rows. Every
+    operator must have finite entries (a ``ValueError`` names the first that
+    does not, whatever the flag); when ``trace_preserving`` is asserted, the
+    completeness condition ``sum_k K_k^dagger K_k = I`` is then checked at
+    model tolerance (1e-8).
     Two maps are equal when their dimension, flag and operator lists are;
     maps are unhashable.
     """
@@ -109,17 +113,17 @@ class KrausMap:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
-        if self.trace_preserving:  # a non-finite operator fails this gate too
+        bad = first_failure(np.isfinite(stack).all(axis=(1, 2)))
+        if bad is not None:
+            raise ValueError(f"operators[{bad}] must have finite entries")
+        if self.trace_preserving:
             require_complete(self, "operators")
-        else:
-            bad = first_failure(np.isfinite(stack).all(axis=(1, 2)))
-            if bad is not None:
-                raise ValueError(f"operators[{bad}] must have finite entries")
 
     @classmethod
     def from_operators(cls, operators, trace_preserving: bool = True) -> "KrausMap":
-        first = as_complex_matrix(operators[0], "operators[0]")
-        return cls(first.shape[0], operators, trace_preserving)
+        # an empty sequence has no dimension; the constructor rejects it
+        dim = as_complex_matrix(operators[0], "operators[0]").shape[0] if len(operators) else 1
+        return cls(dim, operators, trace_preserving)
 
     def stacked(self) -> np.ndarray:
         """All operators as one read-only (n, dim, dim) array."""

@@ -33,6 +33,7 @@ import numpy as np
 
 from .basis import OperatorBasis, build_hermitian_basis
 from .channels import (
+    CompletenessError,
     DensityMatrix,
     KrausMap,
     apply_matrix,
@@ -347,9 +348,15 @@ def _reduce_map(kmap, coeffs, rho_other, keep, truncation) -> ReductionResult:
     coeffs, b, eigenvalues, mixing, operators, kept = _reduce(
         coeffs, rho_other, keep, truncation
     )
-    subsystem_map = KrausMap(
-        operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
-    )
+    try:
+        subsystem_map = KrausMap(
+            operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
+        )
+    except CompletenessError as exc:  # name the reduced map and the cutoff that broke it
+        raise CompletenessError(
+            f"reduced {exc}; truncation {truncation} dropped b eigenvalue mass "
+            f"{eigenvalues[~kept].sum():.3e} ({(~kept).sum()} of {kept.size} operators)"
+        ) from None
     return ReductionResult(coeffs, b, eigenvalues, mixing, subsystem_map)
 
 
@@ -365,8 +372,10 @@ def reduce_subsystem(
     ``rho_other`` is the initial state of the factor being traced out; the
     composite preparation is the product of it with an arbitrary state of the
     kept factor. Eigenvalues of b below ``truncation`` (in [0, 1]) times the
-    largest are dropped with their (numerically zero) operators. ``keep=2``
-    runs the mirrored computation by swapping the coefficient indices.
+    largest are dropped with their (numerically zero) operators; a cutoff that
+    leaves the reduced operators of a trace-preserving map incomplete raises a
+    ``CompletenessError`` naming it. ``keep=2`` runs the mirrored computation
+    by swapping the coefficient indices.
     """
     stack = kmap.stacked()
     keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)

@@ -63,6 +63,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix([[np.nan, 0], [0, 1]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_names_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="^density matrix must have finite entries$"):
+            DensityMatrix([[bad, 0], [0, 1]])
+
     def test_pure_state_normalizes(self):
         rho = pure_state([2.0, 0.0])
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
@@ -99,9 +105,24 @@ class TestKrausMap:
         with pytest.raises(ValueError, match=r"operators\[0\]"):
             KrausMap(1, [[[bad]]], trace_preserving=False)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_trace_preserving_rejects_non_finite_operator(self, bad):
+        # the same check and message as without the flag, before completeness
+        ops = (np.eye(2, dtype=complex), np.diag([0.5, bad]))
+        with pytest.raises(ValueError, match=r"operators\[1\] must have finite entries"):
+            KrausMap(2, ops)
+        with pytest.raises(ValueError, match=r"operators\[0\] must have finite entries"):
+            KrausMap(1, [[[bad]]])
+
     def test_from_operators(self):
         kmap = KrausMap.from_operators([np.eye(3, dtype=complex)])
         assert kmap.dim == 3
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2, 2))])
+    def test_from_operators_rejects_empty(self, empty):
+        with pytest.raises(ValueError, match="a Kraus map needs at least one operator"):
+            KrausMap.from_operators(empty)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tp_kraus, rng_from
+from helpers import random_density, random_tp_kraus, rng_from
 from subkraus import casestudy, channels, cli, linalg, reduction, verify
 from subkraus.casestudy import DampingRates, closed_form_b, composite_kraus, qubit_state
 from subkraus.channels import (
@@ -89,6 +89,23 @@ class TestReduce:
         err = capsys.readouterr().err
         assert err.startswith(f"diagnostic: map file {map_path}: ")
         assert "completeness condition (defect 5.100e-01 > 1.0e-08)" in err
+        assert not out_path.exists()
+
+    def test_truncation_that_breaks_completeness_exits_3(self, tmp_path, capsys):
+        rng = rng_from(5)  # b eigenvalues 0.905, 0.636, 0.314, 0.145
+        map_path = tmp_path / "map.json"
+        rho_path = tmp_path / "rho.json"
+        out_path = tmp_path / "out.json"
+        map_path.write_text(dump_map_json(random_tp_kraus(rng, 4, 3)))
+        rho_path.write_text(dump_density_json(random_density(rng, 2)))
+        code = cli.main([
+            "reduce", "--map", str(map_path), "--d1", "2", "--d2", "2",
+            "--rho", str(rho_path), "--truncation", "0.5", "--out", str(out_path),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diagnostic: reduced operators violate the completeness condition")
+        assert "truncation 0.5 dropped b eigenvalue mass 4.588e-01 (2 of 4 operators)" in err
         assert not out_path.exists()
 
     def test_malformed_map_exits_2(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from subkraus.casestudy import (
     qubit_state,
 )
 from subkraus.channels import (
+    CompletenessError,
     DensityMatrix,
     KrausMap,
     channel_distance,
@@ -177,6 +178,22 @@ class TestReduceSubsystem:
         kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
         with pytest.raises(ValueError, match="truncation"):
             reduce_subsystem(kmap, SPLIT22, qubit_state(0.3), truncation=bad)
+
+    def test_truncation_that_breaks_completeness_is_named(self):
+        # b eigenvalues 0.905, 0.636, 0.314, 0.145: a cutoff of 0.5 drops the
+        # last two, and the kept operators are no longer complete
+        rng = rng_from(5)
+        kmap, rho = random_tp_kraus(rng, 4, 3), random_density(rng, 2)
+        message = (
+            r"^reduced operators violate the completeness condition \(defect 2\.642e-01 "
+            r"> 1\.0e-08\); truncation 0\.5 dropped b eigenvalue mass 4\.588e-01 "
+            r"\(2 of 4 operators\)$"
+        )
+        with pytest.raises(CompletenessError, match=message):
+            reduce_subsystem(kmap, SPLIT22, rho, truncation=0.5)
+        ensemble = SeparableEnsemble((1.0,), ((maximally_mixed(2), rho),))
+        with pytest.raises(CompletenessError, match=message):
+            reduce_separable_ensemble(kmap, SPLIT22, ensemble, truncation=0.5)
 
     def test_identity_limit(self):
         kmap = composite_kraus(0.0, DampingRates(0.3, 1.0))
