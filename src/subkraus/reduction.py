@@ -12,10 +12,11 @@ preserving, and its Kraus operators can be computed exactly:
 3. diagonalize ``b``;
 4. assemble subsystem operators ``K_p = sqrt(b_p) sum_i u[i, p] g_i``.
 
-The pipeline is written once over a leading batch axis:
-:func:`reduce_subsystem_grid` reduces a whole (T, k, dim, dim) stack of maps,
-such as a model sampled on a time grid, with a fixed number of numpy calls,
-and :func:`reduce_subsystem` is the same code on a single map.
+The pipeline is written once over a leading batch axis and records steps 3
+and 4 in one :class:`GridReduction`: :func:`reduce_subsystem_grid` returns it
+for a whole (T, k, dim, dim) stack of maps, such as a model sampled on a time
+grid, computed with a fixed number of numpy calls, and :func:`reduce_subsystem`
+reads the same record of a single map.
 
 The same machinery diagnoses when no state-independent reduced map exists:
 branch-wise reductions of separable (but correlated) preparations generally
@@ -150,9 +151,10 @@ class ReductionResult:
 
     ``eigenvalues`` are all of b's eigenvalues, descending and clamped at
     zero, with ``mixing[:, p]`` the matching eigenvectors; ``subsystem_map``
-    keeps only the operators whose eigenvalue survived truncation. For
-    ``keep=2`` reductions the stored coefficients are reordered so that the
-    kept subsystem's basis index always comes first.
+    keeps only the operators whose eigenvalue survived truncation. Both
+    arrays are fields of the pipeline's :class:`GridReduction` record and,
+    like ``b``, read-only. For ``keep=2`` reductions the stored coefficients
+    are reordered so that the kept subsystem's basis index always comes first.
     """
 
     coefficients: CoefficientTensor
@@ -168,7 +170,9 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class GridReduction:
-    """Subsystem reductions of a stack of T maps, one per grid point.
+    """Subsystem reductions of a stack of T maps, one per grid point: the one
+    record of the reduction pipeline, which a single-map reduction reads
+    without the leading T axis.
 
     ``b`` is (T, n, n); ``eigenvalues`` (T, n) are descending and clamped at
     zero, with ``mixing[t, :, p]`` the matching eigenvectors; ``operators``
@@ -293,34 +297,29 @@ def b_matrix(
     return BMatrix(values, time_label)
 
 
-def _coefficients(stack, split: Bipartition) -> CoefficientTensor:
-    """:func:`c_coefficients` of a (..., k, dim, dim) stack in the shared bases."""
-    return c_coefficients(
-        stack, split, build_hermitian_basis(split.d1), build_hermitian_basis(split.d2)
-    )
-
-
-def _checked_args(stack, split: Bipartition, rho_other: DensityMatrix, keep, truncation):
-    """``keep`` and ``truncation`` of a reduction of ``stack``, checked with
-    every other argument, in the order of the pipeline steps that read them,
-    before any basis is built or any ``c`` contracted."""
+def _checked_coefficients(stack, split: Bipartition, rho_other: DensityMatrix, keep, truncation):
+    """The coefficients of a (..., k, dim, dim) ``stack`` in the shared bases,
+    oriented so that the kept subsystem's index comes first, and the checked
+    ``truncation``. Every argument is checked, in the order of the pipeline
+    steps that read them, before any basis is built or any ``c`` contracted."""
     _check_split(stack, split)
     keep = subsystem_keep(keep)
     truncation = nonnegative_real(truncation, "truncation")
     if truncation > 1.0:  # above 1 every operator, the largest included, is dropped
         raise ValueError(f"truncation must lie in [0, 1], got {truncation}")
     _check_state(rho_other, split.d2 if keep == 1 else split.d1)
-    return keep, truncation
+    coeffs = c_coefficients(
+        stack, split, build_hermitian_basis(split.d1), build_hermitian_basis(split.d2)
+    )
+    return (coeffs if keep == 1 else coeffs.swapped()), truncation
 
 
-def _reduce(coeffs, rho_other, keep, truncation):
-    """The reduction pipeline from the coefficients of a (..., k, dim, dim)
-    operator stack, for arguments that passed :func:`_checked_args`; every
-    output carries its leading axes, and every gate holds at each map of the
-    stack. ``c`` does not depend on ``rho_other``, so one tensor serves every
+def _reduce(coeffs, rho_other, truncation) -> tuple[BMatrix, GridReduction]:
+    """The reduction pipeline from the output of :func:`_checked_coefficients`:
+    the checked ``b`` and the record of every stage from ``b`` on, each with the
+    leading axes of the stack, and every gate holding at each of its maps.
+    ``c`` does not depend on ``rho_other``, so one tensor serves every
     traced-out state."""
-    if keep == 2:
-        coeffs = coeffs.swapped()
     own_basis = build_hermitian_basis(coeffs.d1)
     b = b_matrix(coeffs, rho_other, build_hermitian_basis(coeffs.d2))
     eig = hermitian_eig(b.values)
@@ -340,24 +339,21 @@ def _reduce(coeffs, rho_other, keep, truncation):
     d = own_basis.dim
     operators = weighted.swapaxes(-1, -2) @ own_basis.stacked().reshape(d * d, d * d)
     operators = operators.reshape(*operators.shape[:-1], d, d)
-    return coeffs, b, eigenvalues, mixing, operators, kept
+    return b, GridReduction(b.values, eigenvalues, mixing, operators, kept)
 
 
-def _reduce_map(kmap, coeffs, rho_other, keep, truncation) -> ReductionResult:
-    """:func:`reduce_subsystem` of ``kmap`` from its coefficients."""
-    coeffs, b, eigenvalues, mixing, operators, kept = _reduce(
-        coeffs, rho_other, keep, truncation
-    )
+def _reduce_map(kmap, coeffs, rho_other, truncation) -> ReductionResult:
+    """:func:`reduce_subsystem` of ``kmap`` from its checked coefficients."""
+    b, stages = _reduce(coeffs, rho_other, truncation)
+    ops, kept = stages.operators, stages.kept
     try:
-        subsystem_map = KrausMap(
-            operators.shape[-1], operators[kept], trace_preserving=kmap.trace_preserving
-        )
+        subsystem_map = KrausMap(ops.shape[-1], ops[kept], trace_preserving=kmap.trace_preserving)
     except CompletenessError as exc:  # name the reduced map and the cutoff that broke it
         raise CompletenessError(
             f"reduced {exc}; truncation {truncation} dropped b eigenvalue mass "
-            f"{eigenvalues[~kept].sum():.3e} ({(~kept).sum()} of {kept.size} operators)"
+            f"{stages.eigenvalues[~kept].sum():.3e} ({(~kept).sum()} of {kept.size} operators)"
         ) from None
-    return ReductionResult(coeffs, b, eigenvalues, mixing, subsystem_map)
+    return ReductionResult(coeffs, b, stages.eigenvalues, stages.mixing, subsystem_map)
 
 
 def reduce_subsystem(
@@ -377,9 +373,8 @@ def reduce_subsystem(
     ``CompletenessError`` naming it. ``keep=2`` runs the mirrored computation
     by swapping the coefficient indices.
     """
-    stack = kmap.stacked()
-    keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)
-    return _reduce_map(kmap, _coefficients(stack, split), rho_other, keep, truncation)
+    coeffs, truncation = _checked_coefficients(kmap.stacked(), split, rho_other, keep, truncation)
+    return _reduce_map(kmap, coeffs, rho_other, truncation)
 
 
 def reduce_subsystem_grid(
@@ -401,11 +396,8 @@ def reduce_subsystem_grid(
     stack = operator_stack(stacks)
     if stack.ndim != 4:
         raise ValueError(f"stacks must be (T, k, dim, dim), got shape {stack.shape}")
-    keep, truncation = _checked_args(stack, split, rho_other, keep, truncation)
-    _, b, eigenvalues, mixing, operators, kept = _reduce(
-        _coefficients(stack, split), rho_other, keep, truncation
-    )
-    return GridReduction(b.values, eigenvalues, mixing, operators, kept)
+    coeffs, truncation = _checked_coefficients(stack, split, rho_other, keep, truncation)
+    return _reduce(coeffs, rho_other, truncation)[1]
 
 
 def reduce_separable_ensemble(
@@ -420,12 +412,10 @@ def reduce_separable_ensemble(
     exactly the :func:`reduce_subsystem` of its traced factor."""
     if ensemble.pairs[0][0].dim != split.d1 or ensemble.pairs[0][1].dim != split.d2:
         raise ValueError("ensemble dimensions do not match the bipartition")
-    stack = kmap.stacked()
-    _, truncation = _checked_args(stack, split, ensemble.pairs[0][1], 1, truncation)
-    coeffs = _coefficients(stack, split)
-    return [
-        _reduce_map(kmap, coeffs, sigma2, 1, truncation) for (_, sigma2) in ensemble.pairs
-    ]
+    coeffs, truncation = _checked_coefficients(
+        kmap.stacked(), split, ensemble.pairs[0][1], 1, truncation
+    )
+    return [_reduce_map(kmap, coeffs, sigma2, truncation) for (_, sigma2) in ensemble.pairs]
 
 
 def reduced_domain_verdict(
@@ -483,12 +473,16 @@ def correlated_probe(
 def factorization_check(
     coeffs: CoefficientTensor, tol: float = 1e-10
 ) -> tuple[OperatorFactorization, ...]:
-    """Tensor-product test: operator k factorizes iff c[k] has rank one.
+    """Tensor-product test: operator k of one map factorizes iff c[k] has rank one.
 
     Rank is judged by the ratio of the second to the largest singular value;
     an all-zero operator is reported as a product with ``is_zero`` set.
     """
     tol = nonnegative_real(tol, "tol")
+    if coeffs.values.ndim != 3:
+        raise ValueError(
+            f"factorization_check needs the coefficients of one map, got shape {coeffs.values.shape}"
+        )
     out = []
     for s in np.linalg.svd(coeffs.values, compute_uv=False):
         if s[0] == 0.0:

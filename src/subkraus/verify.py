@@ -92,8 +92,8 @@ def brute_force_reduced_choi(
 # structural checks
 # ---------------------------------------------------------------------------
 
-def check_eigensolver(seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_eigensolver() -> CheckResult:
+    rng = np.random.default_rng(11)
     residuals = []
     for i in range(100):
         d = 2 + i % 8
@@ -105,8 +105,8 @@ def check_eigensolver(seed: int = 11) -> CheckResult:
     return _verdict("eigensolver reconstruction/unitarity", "structural", residuals, 1e-12)
 
 
-def check_tensor_algebra(seed: int = 12) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_tensor_algebra() -> CheckResult:
+    rng = np.random.default_rng(12)
     residuals = []
     for _ in range(20):
         a, b, c, d = (random_complex(rng, 2) for _ in range(4))
@@ -119,8 +119,8 @@ def check_tensor_algebra(seed: int = 12) -> CheckResult:
     return _verdict("tensor product algebra", "structural", residuals, 1e-12)
 
 
-def check_partial_trace(seed: int = 13) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_partial_trace() -> CheckResult:
+    rng = np.random.default_rng(13)
     residuals = []
     for _ in range(20):
         m = random_complex(rng, 6)
@@ -132,8 +132,8 @@ def check_partial_trace(seed: int = 13) -> CheckResult:
     return _verdict("partial trace identities", "structural", residuals, 1e-12)
 
 
-def check_evolution_unitarity(seed: int = 14) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_evolution_unitarity() -> CheckResult:
+    rng = np.random.default_rng(14)
     residuals = []
     for _ in range(10):
         h = random_hermitian(rng, 4)
@@ -155,8 +155,8 @@ def check_basis_gram() -> CheckResult:
     return _verdict("basis Gram identity (d=2,3,4)", "structural", residuals, 1e-12)
 
 
-def check_basis_roundtrip(seed: int = 15) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_basis_roundtrip() -> CheckResult:
+    rng = np.random.default_rng(15)
     residuals = []
     for d in (2, 3):
         bas = basis.build_hermitian_basis(d)
@@ -179,8 +179,8 @@ def check_choi_landmarks() -> CheckResult:
     return _verdict(name, "structural", residuals, 1e-12, holds=not verdict.is_cp)
 
 
-def check_distance_gauge(seed: int = 16) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_distance_gauge() -> CheckResult:
+    rng = np.random.default_rng(16)
     residuals = []
     for _ in range(10):
         kmap = random_tp_kraus(rng, 2, 2)
@@ -197,8 +197,8 @@ def check_distance_gauge(seed: int = 16) -> CheckResult:
     return _verdict(name, "structural", [*residuals, landmark], 1e-10, holds=landmark <= 1e-12)
 
 
-def check_mapfile_roundtrip(seed: int = 17) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_mapfile_roundtrip() -> CheckResult:
+    rng = np.random.default_rng(17)
     kmap = random_tp_kraus(rng, 2, 3)
     text1 = channels.dump_map_json(kmap, label="roundtrip")
     loaded = channels.load_map_json(text1)
@@ -278,8 +278,8 @@ def check_reduced_cp_on_grid() -> CheckResult:
     return CheckResult("reduced map CP on grid", "model", bool(worst >= floor), worst, floor)
 
 
-def check_oracle_equivalence(seed: int = 21) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_oracle_equivalence() -> CheckResult:
+    rng = np.random.default_rng(21)
     cases = []  # (map, split, traced-out state, keep)
     for _ in range(10):
         rates = casestudy.DampingRates(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))

@@ -6,13 +6,17 @@ are rejected even when numpy could cast them to complex. Real scalars go
 through ``linalg.real_number``, ``finite_real`` or ``nonnegative_real``.
 """
 
+import contextlib
+import io
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
 from helpers import SIGMA
+from subkraus import cli, verify
 from subkraus.basis import OperatorBasis, build_hermitian_basis, reconstruct
 from subkraus.casestudy import (
     DampingRates,
@@ -23,14 +27,27 @@ from subkraus.casestudy import (
     ohmic_spectral_density,
     to_schrodinger,
 )
-from subkraus.channels import ChoiMatrix, DensityMatrix, KrausMap, maximally_mixed, pure_state
+from subkraus.channels import (
+    ChoiMatrix,
+    DensityMatrix,
+    KrausMap,
+    completeness_defect,
+    load_density_json,
+    load_map_json,
+    maximally_mixed,
+    pure_state,
+)
 from subkraus.linalg import evolution_unitary, hermitian_eig, partial_trace, tensor_product
 from subkraus.reduction import (
     Bipartition,
     BMatrix,
     CoefficientTensor,
+    SeparableEnsemble,
+    b_matrix,
     c_coefficients,
+    correlated_probe,
     factorization_check,
+    reduce_separable_ensemble,
     reduce_subsystem,
     reduce_subsystem_grid,
     reduced_domain_verdict,
@@ -142,3 +159,109 @@ def test_integer_beyond_the_float_range_rejected_as_not_finite(site):
     call, name, _ = SCALAR_SITES[site]
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be finite")):
         call(10**400)
+
+
+def _cli_error(*argv):
+    """cli.main on argv; exit code 2 is raised as the ValueError it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code == 2:
+        raise ValueError(err.getvalue())
+
+
+MIXED2, MIXED3, MIXED4 = maximally_mixed(2), maximally_mixed(3), maximally_mixed(4)
+SPLIT32 = Bipartition(3, 2)
+
+# site: (call, the prefix of the ValueError it must raise)
+STRUCTURE_SITES = {
+    "OperatorBasis.count": (
+        lambda: OperatorBasis(2, [np.eye(2)] * 3), "basis for dimension 2 needs 4 elements, got 3"
+    ),
+    "reconstruct.count": (lambda: reconstruct([1, 2, 3], BASIS2), "expected 4 coefficients"),
+    "ModelParams.temperature": (
+        lambda: ModelParams(1.0, 0.2, 0.0, 0.01, 5.0), "temperature must be positive"
+    ),
+    "ModelParams.nu_c": (
+        lambda: ModelParams(1.0, 0.2, 1.0, 0.01, 0.0), "spectral cutoff must be positive"
+    ),
+    "bose_occupation.nu": (lambda: bose_occupation(0.0, 1.0), "frequency must be positive"),
+    "bose_occupation.temperature": (
+        lambda: bose_occupation(1.0, 0.0), "temperature must be positive"
+    ),
+    "ohmic_spectral_density.nu_c": (
+        lambda: ohmic_spectral_density(1.0, 0.01, 0.0), "spectral cutoff must be positive"
+    ),
+    "to_schrodinger.picture": (
+        lambda: to_schrodinger(MODEL_MAP, 0.5, 1.0, 0.2, "qubit1"),
+        "the single-qubit picture transform is only valid for non-interacting qubits",
+    ),
+    "pure_state.zero": (lambda: pure_state([0, 0]), "state vector must be nonzero"),
+    "completeness_defect.shape": (
+        lambda: completeness_defect(np.eye(2)), "operator stack must be (..., n, dim, dim)"
+    ),
+    "ChoiMatrix.shape": (
+        lambda: ChoiMatrix(np.eye(4), 3), "Choi matrix for dimension 3 must be 9x9, got 4"
+    ),
+    "load_map_json.top_level": (lambda: load_map_json("[]"), "top level: expected an object"),
+    "load_map_json.label": (
+        lambda: load_map_json('{"dim": 1, "kraus": [[[[1, 0]]]], "label": 3}'),
+        "label: expected a string",
+    ),
+    "load_density_json.rho": (lambda: load_density_json('{"dim":1}'), "rho: missing"),
+    "CoefficientTensor.shape": (
+        lambda: CoefficientTensor(np.ones((1, 4, 3)), 2, 2),
+        "coefficient tensor must have shape (..., k, 4, 4), got (1, 4, 3)",
+    ),
+    "SeparableEnsemble.weights": (
+        lambda: SeparableEnsemble((0.5, 0.5), ((MIXED2, MIXED2),)),
+        "need one weight per product pair",
+    ),
+    "SeparableEnsemble.dimensions": (
+        lambda: SeparableEnsemble((0.5, 0.5), ((MIXED2, MIXED2), (MIXED3, MIXED2))),
+        "pair 1 has inconsistent dimensions",
+    ),
+    "c_coefficients.basis": (
+        lambda: c_coefficients(MODEL_MAP, SPLIT22, build_hermitian_basis(3), BASIS2),
+        "basis dimensions (3, 2) do not match the bipartition (2, 2)",
+    ),
+    "b_matrix.basis": (
+        lambda: b_matrix(_coefficients(), MIXED2, build_hermitian_basis(3)),
+        "basis dimension 3 does not match coefficient d2 = 2",
+    ),
+    "reduce_separable_ensemble.split": (
+        lambda: reduce_separable_ensemble(
+            MODEL_MAP, SPLIT22, SeparableEnsemble((1.0,), ((MIXED3, MIXED2),))
+        ),
+        "ensemble dimensions do not match the bipartition",
+    ),
+    "reduced_domain_verdict.dimensions": (
+        lambda: reduced_domain_verdict(
+            _branches() + [reduce_subsystem(KrausMap(6, [np.eye(6)]), SPLIT32, MIXED2)]
+        ),
+        "branches have mixed dimensions [2, 3]",
+    ),
+    "correlated_probe.states": (
+        lambda: correlated_probe(MODEL_MAP, SPLIT22, MIXED2, MIXED2),
+        "probe states must live on the composite dimension",
+    ),
+    "correlated_probe.map": (
+        lambda: correlated_probe(KrausMap(9, [np.eye(9)]), SPLIT22, MIXED4, MIXED4),
+        "map dimension does not match the bipartition",
+    ),
+    "verify.run_checks.scope": (lambda: verify.run_checks("bogus"), "unknown scope 'bogus'"),
+    "cli.case-study.t_max": (
+        lambda: _cli_error(
+            "case-study", "--gamma1", "0.3", "--gamma2", "1.0", "--a", "0.3",
+            "--t-max", "0", "--steps", "5", "--out", os.devnull,
+        ),
+        "error: --t-max must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(STRUCTURE_SITES))
+def test_ill_formed_input_rejected_by_name(site):
+    call, prefix = STRUCTURE_SITES[site]
+    with pytest.raises(ValueError, match="^" + re.escape(prefix)):
+        call()

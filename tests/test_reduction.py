@@ -173,6 +173,14 @@ class TestReduceSubsystem:
         closed = closed_form_subsystem_map(t, rates, a)
         assert channel_distance(result.subsystem_map, closed) < 1e-10
 
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_every_array_is_read_only(self, keep):
+        kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
+        result = reduce_subsystem(kmap, SPLIT22, qubit_state(0.3), keep=keep)
+        for array in (result.coefficients.values, result.b.values, result.eigenvalues, result.mixing):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, True, "1e-12"])
     def test_bad_truncation_rejected(self, bad):
         kmap = composite_kraus(0.11, DampingRates(0.3, 1.0))
@@ -508,6 +516,12 @@ class TestFactorization:
         kmap = KrausMap(4, (np.zeros((4, 4), dtype=complex),), trace_preserving=False)
         flags = factorization_check(c_coefficients(kmap, SPLIT22, B2, B2))
         assert flags[0].is_product and flags[0].is_zero
+
+    def test_stack_of_maps_rejected_by_name(self):
+        coeffs = c_coefficients(composite_kraus_grid([0.1, 0.2], DampingRates(0.3, 1.0)), SPLIT22, B2, B2)
+        message = "factorization_check needs the coefficients of one map, got shape (2, 8, 4, 4)"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            factorization_check(coeffs)
 
     @given(seeds)
     @settings(max_examples=10)
