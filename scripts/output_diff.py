@@ -14,8 +14,8 @@ and 1 otherwise. It runs offline and needs no installed package.
 The output set:
 
 * ``reduce`` maps and reports of random trace-preserving maps, for the
-  splits 2x2, 3x3 and 2x3, each with keep 1 and 2, against random complex
-  traced-out states;
+  splits 2x2, 3x3, 2x3 and 4x4, each with keep 1 and 2, against random
+  complex traced-out states;
 * ``choi`` documents of those maps;
 * the ``case-study`` CSV at 101, 1001 and 2100 steps;
 * ``verify --scope all`` stdout, and every command's exit code.
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
-SPLITS = ((2, 2), (3, 3), (2, 3))
+SPLITS = ((2, 2), (3, 3), (2, 3), (4, 4))
 SWEEP_STEPS = (101, 1001, 2100)
 
 
@@ -58,7 +58,7 @@ def _matrix(m: np.ndarray) -> list:
 
 def write_inputs(directory: Path) -> None:
     """Random trace-preserving maps on every split and random complex
-    states of dimension 2 and 3, as map and density files."""
+    states of every subsystem dimension, as map and density files."""
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(2017)
     for d1, d2 in SPLITS:
@@ -68,7 +68,7 @@ def write_inputs(directory: Path) -> None:
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         doc = {"dim": d, "kraus": [_matrix(op @ inv_sqrt) for op in ops]}
         (directory / f"map_{d1}x{d2}.json").write_text(json.dumps(doc))
-    for d in (2, 3):
+    for d in sorted({d for split in SPLITS for d in split}):
         a = _random_complex(rng, d)
         rho = a @ a.conj().T
         rho /= np.trace(rho).real

@@ -8,7 +8,8 @@ preserving, and its Kraus operators can be computed exactly:
    operators, ``c[k, i, j] = tr(K_k (g_i (x) h_j))``;
 2. contract the coefficients with the traced-out factor's initial state into
    the Hermitian positive-semidefinite mixing matrix
-   ``b[i, i'] = sum_k tr(D_ki rho D_ki'^dagger)`` with ``D_ki = sum_j c[k,i,j] h_j``;
+   ``b = sum_k c_k R c_k^dagger``, where ``c_k`` is the matrix ``c[k, i, j]``
+   and ``R[j, l] = tr(h_j rho h_l)`` is the traced-out state in the ``h`` basis;
 3. diagonalize ``b``;
 4. assemble subsystem operators ``K_p = sqrt(b_p) sum_i u[i, p] g_i``.
 
@@ -283,18 +284,25 @@ def b_matrix(
 ) -> BMatrix:
     """Contract coefficients with the traced-out state.
 
-    Uses the operator intermediates D_ki = sum_j c[k,i,j] h_j, so that
-    b[i, i'] = sum_k tr(D_ki rho2 D_ki'^dagger); a stack of coefficient
-    tensors gives the stack of mixing matrices.
+    b = sum_k c_k R c_k^dagger, with c_k the (n, m) matrix c[k, i, j] and
+    R[j, l] = tr(h_j rho2 h_l) the traced-out state in the h basis; this is
+    b[i, i'] = sum_k tr(D_ki rho2 D_ki'^dagger) for D_ki = sum_j c[k,i,j] h_j,
+    and it is linear in rho2. A stack of coefficient tensors gives the stack
+    of mixing matrices.
     """
     if basis2.dim != coeffs.d2:
         raise ValueError(
             f"basis dimension {basis2.dim} does not match coefficient d2 = {coeffs.d2}"
         )
     _check_state(rho2, coeffs.d2)
-    d_ops = np.einsum("...kij,jab->...kiab", coeffs.values, basis2.stacked())
-    values = np.einsum("...kiab,bc,...kjac->...ij", d_ops, rho2.matrix, d_ops.conj())
-    return BMatrix(values, time_label)
+    h = basis2.stacked()
+    m, d = h.shape[:2]
+    # tr(A h_l) = sum_ab A[a, b] conj(h_l[a, b]) because h_l is Hermitian
+    r = (h.reshape(m * d, d) @ rho2.matrix).reshape(m, -1) @ h.reshape(m, -1).conj().T
+    *lead, k, n, _ = coeffs.values.shape
+    rows = coeffs.values.swapaxes(-3, -2).reshape(*lead, n, k * m)  # [..., i, (k, j)]
+    mixed = (rows.reshape(-1, m) @ r).reshape(rows.shape)
+    return BMatrix(mixed @ rows.conj().swapaxes(-1, -2), time_label)
 
 
 def _checked_coefficients(stack, split: Bipartition, rho_other: DensityMatrix, keep, truncation):

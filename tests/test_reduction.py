@@ -158,6 +158,59 @@ class TestBMatrix:
         total = np.einsum("ij,jab,iac->bc", b.values, stack.conj(), stack)
         assert np.abs(total - np.eye(2)).max() < 1e-10
 
+    @pytest.mark.parametrize("layout", ["single", "stack", "swapped"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_matches_operator_definition(self, d1, d2, k, layout):
+        rng = rng_from(100 * d1 + 10 * d2 + k)
+        lead = (2, 3) if layout == "stack" else ()
+        shape = (*lead, k, d2 * d2, d1 * d1) if layout == "swapped" else (*lead, k, d1 * d1, d2 * d2)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "swapped":
+            coeffs = CoefficientTensor(raw, d2, d1).swapped()
+        else:
+            coeffs = CoefficientTensor(raw, d1, d2)
+        rho, basis2 = random_density(rng, d2), build_hermitian_basis(d2)
+        b = b_matrix(coeffs, rho, basis2).values
+        flat_c = coeffs.values.reshape(-1, *coeffs.values.shape[-3:])
+        expected = np.array([b_by_definition(c, rho.matrix, basis2) for c in flat_c])
+        assert b.shape == (*lead, d1 * d1, d1 * d1)
+        assert np.abs(b.reshape(expected.shape) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_empty_stack(self):
+        coeffs = CoefficientTensor(np.zeros((0, 3, 4, 9), dtype=complex), 2, 3)
+        b = b_matrix(coeffs, maximally_mixed(3), build_hermitian_basis(3))
+        assert b.values.shape == (0, 4, 4)
+
+    @given(seeds, st.floats(0.0, 1.0))
+    @settings(max_examples=20)
+    @pytest.mark.parametrize("d1", [2, 3])
+    def test_linear_in_the_traced_state(self, d1, seed, p):
+        # the negative-eigenvalue diagnostic relies on b following rho2 linearly
+        rng = rng_from(seed)
+        shape = (3, d1 * d1, 4)
+        coeffs = CoefficientTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), d1, 2)
+        rho_b = random_density(rng, 2)
+        for rho_a in (random_density(rng, 2), not_a_state()):
+            mix = unchecked_state(p * rho_a.matrix + (1 - p) * rho_b.matrix)
+            b_a, b_b, b_mix = (b_matrix(coeffs, r, B2).values for r in (rho_a, rho_b, mix))
+            combined = p * b_a + (1 - p) * b_b
+            assert np.abs(b_mix - combined).max() <= 1e-12 * max(np.abs(b_a).max(), np.abs(b_b).max())
+
+
+def b_by_definition(c, rho, basis2):
+    """b[i, i'] = sum_k tr(D_ki rho D_ki'^dagger) with D_ki = sum_j c[k, i, j] h_j,
+    for one map's (k, n, m) coefficients, by loops over the operators."""
+    k_count, n, m = c.shape
+    ops = [[sum(c[k, i, j] * basis2.elements[j] for j in range(m)) for i in range(n)]
+           for k in range(k_count)]
+    b = np.zeros((n, n), dtype=complex)
+    for k in range(k_count):
+        for i in range(n):
+            for i2 in range(n):
+                b[i, i2] += np.trace(ops[k][i] @ rho @ ops[k][i2].conj().T)
+    return b
+
 
 class TestReduceSubsystem:
     def test_case_study_matches_closed_form(self):
@@ -559,11 +612,16 @@ def test_bipartition_accepts_numpy_integers():
     assert Bipartition(np.int64(2), 3).dim == 6
 
 
+def unchecked_state(matrix):
+    """A DensityMatrix holding ``matrix`` as given, bypassing its validation."""
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "matrix", np.asarray(matrix, dtype=complex))
+    return state
+
+
 def not_a_state():
     """A traced factor that is not a state; bypasses DensityMatrix validation."""
-    bad = object.__new__(DensityMatrix)
-    object.__setattr__(bad, "matrix", np.diag([-0.5, 1.5]).astype(complex))
-    return bad
+    return unchecked_state(np.diag([-0.5, 1.5]))
 
 
 class TestGridReduction:

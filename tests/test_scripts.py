@@ -65,10 +65,10 @@ def test_output_diff_generates_and_compares_one_tree(tmp_path, monkeypatch):
     first = tmp_path / "first"
     script.generate(SCRIPTS.parent, tmp_path / "inputs", first)
     lines, same = script.compare(first, first)
-    assert same and len(lines) == 20
+    assert same and len(lines) == 25
     assert all(line.endswith("  identical") for line in lines)
     assert "OUT/reduce_2x3_keep2.map.json" in (first / "reduce_2x3_keep2.report.json").read_text()
-    assert (first / "exit_codes.txt").read_text().count(" 0\n") == 13
+    assert (first / "exit_codes.txt").read_text().count(" 0\n") == 16
 
     second = tmp_path / "second"
     second.mkdir()
